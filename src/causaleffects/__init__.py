@@ -32,6 +32,7 @@ from .graph import (
     load_graph,
     meek_closure,
     possible_descendants,
+    proper_undirected_start_path,
     rule_violations,
     saturated_mpdag,
     save_graph,
@@ -90,6 +91,7 @@ __all__ = [
     "ancestors_in_subgraph",
     "possible_descendants",
     "exists_proper_possibly_causal_undirected_start",
+    "proper_undirected_start_path",
     "saturated_mpdag",
     "graph_to_dict",
     "graph_from_dict",

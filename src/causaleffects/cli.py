@@ -139,7 +139,10 @@ def _cmd_id(args) -> int:
     try:
         plan = build_plan(g, treatment, args.outcome)
     except NotIdentifiedError as e:
-        _emit({"identified": False, "reason": str(e)}, args.out)
+        _emit(
+            {"identified": False, "reason": str(e), "blocking_path": list(e.path)},
+            args.out,
+        )
         return _NOT_IDENTIFIED
     except GraphValidationError as e:
         print(f"bad query: {e}", file=sys.stderr)

@@ -15,7 +15,15 @@ class InconsistentKnowledgeError(CausalEffectsError):
 
 
 class NotIdentifiedError(CausalEffectsError):
-    """The requested total effect is not identified from the graph."""
+    """The requested total effect is not identified from the graph.
+
+    ``path`` holds the labels of one proper possibly causal path from the
+    treatment to the outcome that starts with an undirected edge, when the
+    raiser found one."""
+
+    def __init__(self, message: str, path: tuple[str, ...] | None = None):
+        super().__init__(message)
+        self.path = path
 
 
 class DegenerateSampleError(CausalEffectsError):

@@ -12,6 +12,7 @@ dense integer indices are an internal detail.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ __all__ = [
     "ancestors_in_subgraph",
     "possible_descendants",
     "exists_proper_possibly_causal_undirected_start",
+    "proper_undirected_start_path",
     "saturated_mpdag",
     "graph_to_dict",
     "graph_from_dict",
@@ -357,8 +359,7 @@ def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
     :class:`InconsistentKnowledgeError`.  The final graph is independent of
     the processing order.
     """
-    if not isinstance(g, Mpdag):
-        g = Mpdag(g.vertices, g.directed_edges, g.undirected_edges)
+    g = _as_mpdag(g)
     m = _MutableGraph(g)
     for x, y in knowledge:
         i, j = g.index(x), g.index(y)
@@ -442,70 +443,82 @@ class BucketDecomposition:
 def bucket_decomposition(g: Pdag) -> BucketDecomposition:
     """Decompose ``g`` into its ordered buckets.
 
-    Repeatedly peels a component of the undirected part all of whose edges
-    to the not-yet-peeled rest point into it, prepending each peel; among
-    equally peelable components the one with the largest leading vertex
-    position goes first, so tied components appear in vertex order in the
-    result.  Raises if no component can be peeled (only possible for graphs
-    that are not valid Mpdags) or if the restrictive parent property fails.
+    Orders the components of the undirected part by Kahn's algorithm on
+    their quotient graph, run from the sink end: a component is placed,
+    in front of those already placed, once every directed edge leaving it
+    ends in a placed component.  Among components ready at the same time
+    the one with the largest leading vertex position goes first (a
+    max-heap), so tied components appear in vertex order in the result.
+    O(|V| + |E| + c log c) for c components.  Raises if some components
+    can never be placed (only possible for graphs that are not valid
+    Mpdags) or if the restrictive parent property fails.
     """
     p = g.n_vertices
-    comp = [-1] * p
-    n_comp = 0
+    pa, ch, nb = g._pa, g._ch, g._nb
+    # each component is named by its leading (smallest) vertex
+    lead = list(range(p))
+    members: dict[int, list[int]] = {}
     for s in range(p):
-        if comp[s] != -1:
+        if lead[s] != s or not nb[s]:
             continue
+        mem = [s]
         stack = [s]
-        comp[s] = n_comp
         while stack:
-            i = stack.pop()
-            for j in g._nb[i]:
-                if comp[j] == -1:
-                    comp[j] = n_comp
+            for j in nb[stack.pop()]:
+                if lead[j] != s:
+                    lead[j] = s
+                    mem.append(j)
                     stack.append(j)
-        n_comp += 1
-    members: list[list[int]] = [[] for _ in range(n_comp)]
-    for i in range(p):
-        members[comp[i]].append(i)
+        members[s] = sorted(mem)
 
-    remaining = set(range(n_comp))
-    order: deque[int] = deque()
-    in_remaining = [True] * n_comp
-    while remaining:
-        eligible = [
-            c
-            for c in remaining
-            if not any(
-                in_remaining[comp[j]] and comp[j] != c
-                for i in members[c]
-                for j in g._ch[i]
-            )
-        ]
-        if not eligible:
-            raise GraphValidationError(
-                "no bucket can be peeled: directed edges run in both directions "
-                "between undirected components (graph is not a valid Mpdag)"
-            )
-        c = max(eligible, key=lambda c: members[c][0])
-        remaining.remove(c)
-        in_remaining[c] = False
-        order.appendleft(c)
+    out_deg = [0] * p
+    for i in range(p):
+        c = lead[i]
+        if nb[i]:
+            out_deg[c] += sum(1 for j in ch[i] if lead[j] != c)
+        else:
+            out_deg[c] = len(ch[i])
+    heads = [c for c in range(p) if lead[c] == c]
+    heap = [-c for c in heads if out_deg[c] == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        c = -heapq.heappop(heap)
+        order.append(c)
+        for j in members.get(c, (c,)):
+            for i in pa[j]:
+                d = lead[i]
+                if d != c:
+                    out_deg[d] -= 1
+                    if out_deg[d] == 0:
+                        heapq.heappush(heap, -d)
+    if len(order) < len(heads):
+        raise GraphValidationError(
+            "no bucket can be peeled: directed edges run in both directions "
+            "between undirected components (graph is not a valid Mpdag)"
+        )
+    order.reverse()
 
     lab = g.vertices
     buckets = []
     ext_parents = []
     for c in order:
-        bucket = set(members[c])
-        pa = set().union(*(g._pa[i] for i in bucket)) - bucket
-        for i in bucket:
-            if g._pa[i] - bucket != pa:
+        mem = members.get(c)
+        if mem is None:
+            buckets.append((lab[c],))
+            ext_parents.append(tuple([lab[i] for i in sorted(pa[c])]))
+            continue
+        bucket = set(mem)
+        ext = set().union(*(pa[i] for i in mem)) - bucket
+        for i in mem:
+            if pa[i] - bucket != ext:
                 raise GraphValidationError(
                     f"restrictive parent property fails in bucket "
-                    f"{tuple(lab[v] for v in sorted(bucket))}: vertex {lab[i]!r} "
+                    f"{tuple(lab[v] for v in mem)}: vertex {lab[i]!r} "
                     "does not share the bucket's external parents"
                 )
-        buckets.append(tuple(lab[i] for i in sorted(bucket)))
-        ext_parents.append(tuple(lab[i] for i in sorted(pa)))
+        buckets.append(tuple([lab[i] for i in mem]))
+        ext_parents.append(tuple([lab[i] for i in sorted(ext)]))
     return BucketDecomposition(lab, tuple(buckets), tuple(ext_parents))
 
 
@@ -531,33 +544,144 @@ def ancestors_in_subgraph(g: Pdag, y: str, removed: Iterable[str] = ()) -> froze
     return frozenset(g.vertices[i] for i in seen)
 
 
-def _no_back_edge(g: Pdag, w: int, on_path: set[int]) -> bool:
-    # a path stays possibly causal iff no appended vertex points back at it
-    return not (g._ch[w] & on_path)
+def _as_mpdag(g: Pdag) -> Mpdag:
+    """``g`` when it is already an :class:`Mpdag`, otherwise a checked copy.
+
+    The path searches below are exact only on rule-closed graphs, so a plain
+    :class:`Pdag` is converted here, which raises
+    :class:`GraphValidationError` naming the first violated rule."""
+    if isinstance(g, Mpdag):
+        return g
+    return Mpdag(g.vertices, g.directed_edges, g.undirected_edges)
+
+
+def _unshielded_search(g: Pdag, starts, blocked=(), target: int = -1):
+    """Breadth-first search for unshielded possibly causal paths.
+
+    The states are (previous, current) vertex pairs; a start state has the
+    sentinel ``p`` as its previous vertex.  From (u, v) the search moves to
+    every w with v -> w or v - w that is not blocked, not u and not adjacent
+    to u.  Each state is expanded once, so the search takes O(sum of squared
+    degrees) time.
+
+    Returns ``(parent, hit)``: ``parent`` maps every visited state to the
+    state it was reached from (None for a start state), and ``hit`` is the
+    first state whose current vertex is ``target``, or None.  The search
+    stops at the hit.
+    """
+    p = g.n_vertices
+    pa, ch, nb = g._pa, g._ch, g._nb
+    near: dict[int, set[int]] = {p: set()}  # adjacent vertices and the vertex itself
+    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
+    queue: deque[tuple[int, int]] = deque()
+    for s in starts:
+        state = (p, s)
+        if s not in blocked and state not in parent:
+            parent[state] = None
+            if s == target:
+                return parent, state
+            queue.append(state)
+    while queue:
+        state = queue.popleft()
+        u, v = state
+        stop = near.get(u)
+        if stop is None:
+            stop = near[u] = pa[u] | ch[u] | nb[u] | {u}
+        for w in (ch[v] | nb[v]) - stop:
+            nxt = (v, w)
+            if nxt in parent or w in blocked:
+                continue
+            parent[nxt] = state
+            if w == target:
+                return parent, nxt
+            queue.append(nxt)
+    return parent, None
 
 
 def possible_descendants(g: Pdag, sources: Iterable[str]) -> frozenset[str]:
-    """All vertices reachable from ``sources`` by a possibly causal path.
+    """All vertices reachable from ``sources`` by a possibly causal path
+    (the sources included).
 
-    A path is possibly causal when no directed edge runs from a later path
-    vertex to an earlier one; the test is pairwise over the whole path, so
-    the search enumerates simple paths exactly rather than doing plain BFS.
+    A path <V0, ..., Vk> is possibly causal in an Mpdag when no edge
+    Vj -> Vi with i < j joins two of its vertices.  By Lemma B.1 of
+    Perkovic, Kalisch & Maathuis (UAI 2017), every possibly causal path has
+    a subsequence that is an unshielded possibly causal path between the
+    same end points; conversely an unshielded path with no edge
+    Vi <- Vi+1 is possibly causal (see
+    :func:`proper_undirected_start_path`).  So reachability over unshielded
+    forward-or-undirected steps decides the query: one multi-source
+    breadth-first search over (previous, current) states, O(sum of squared
+    degrees), in place of enumerating simple paths.
+
+    A plain :class:`Pdag` is checked for rule closure first and raises
+    :class:`GraphValidationError` when it is not closed.
     """
-    src = [g.index(s) for s in sources]
-    found = set(src)
+    g = _as_mpdag(g)
+    parent, _ = _unshielded_search(g, [g.index(s) for s in sources])
+    return frozenset(g.vertices[v] for _, v in parent)
 
-    def walk(v: int, on_path: set[int]) -> None:
-        for w in g._ch[v] | g._nb[v]:
-            if w in on_path or not _no_back_edge(g, w, on_path):
-                continue
-            found.add(w)
-            on_path.add(w)
-            walk(w, on_path)
-            on_path.remove(w)
 
-    for s in src:
-        walk(s, {s})
-    return frozenset(g.vertices[i] for i in found)
+def proper_undirected_start_path(
+    g: Pdag, treatment: Iterable[str], outcome: str
+) -> tuple[str, ...] | None:
+    """One proper possibly causal path from ``treatment`` to ``outcome``
+    whose first edge is undirected, as vertex labels, or None if there is
+    none.  Proper means only the first vertex lies in the treatment set.
+
+    For each X in the treatment set A the search starts at the undirected
+    neighbours V1 of X outside A and blocks A, Pa(X) and X itself; the
+    unshielded condition is not applied across X - V1.
+
+    Why this is exact on an Mpdag G:
+
+    * Completeness.  Let q = <X, V1, ..., Y> be such a path.  Its subpath
+      <V1, ..., Y> is possibly causal, so by Lemma B.1 of Perkovic, Kalisch
+      & Maathuis (UAI 2017) a subsequence of it is an unshielded possibly
+      causal path from V1 to Y.  Its vertices lie on q, hence outside A
+      (q is proper), differ from X, and are no parents of X (an edge
+      Vi -> X would point back along q).  The search therefore reaches Y
+      from V1.
+    * Soundness.  Let r = <V1, ..., Y> be the walk the search found: every
+      step is -> or -, and every consecutive triple is unshielded.  Take a
+      DAG represented by G that contains the first edge of r pointing
+      forward (every undirected edge of an Mpdag points each way in some
+      represented DAG; Meek 1995).  If V(i-1) -> Vi in that DAG, then
+      Vi -> V(i+1) too: either G already directs it so, or it is undirected
+      in G and V(i+1) -> Vi would make V(i-1) -> Vi <- V(i+1) an unshielded
+      collider absent from G.  So r is a directed walk in a DAG: a simple
+      path with no edge Vj -> Vi for i < j in that DAG, nor in G, whose
+      directed edges the DAG contains.  Prepending X keeps it simple and
+      possibly causal, since X is blocked and no parent of X is on r,
+      proper since A is blocked, and its first edge X - V1 is undirected.
+      The same argument, without X, shows that any unshielded path with no
+      edge Vi <- V(i+1) is possibly causal.
+
+    Both steps need G to represent at least one DAG; a rule-closed graph
+    that represents none (an undirected chordless 4-cycle, say) is outside
+    their scope.
+
+    The identification criterion of Perkovic (UAI 2020) asks whether such a
+    path exists; the returned path is the witness.  One breadth-first
+    search per treatment vertex, O(sum of squared degrees) each.
+    """
+    g = _as_mpdag(g)
+    a_idx = [g.index(v) for v in treatment]
+    t = g.index(outcome)
+    if t in a_idx:
+        raise GraphValidationError("outcome cannot be part of the treatment set")
+    a_set = set(a_idx)
+    for x in a_idx:
+        blocked = a_set | g._pa[x]
+        parent, hit = _unshielded_search(g, sorted(g._nb[x] - a_set), blocked, t)
+        if hit is None:
+            continue
+        path = []
+        while hit is not None:
+            path.append(hit[1])
+            hit = parent[hit]
+        path.append(x)
+        return tuple(g.vertices[i] for i in reversed(path))
+    return None
 
 
 def exists_proper_possibly_causal_undirected_start(
@@ -566,50 +690,10 @@ def exists_proper_possibly_causal_undirected_start(
     """Is there a proper possibly causal path from ``treatment`` to
     ``outcome`` whose first edge is undirected?
 
-    Proper means only the first vertex lies in the treatment set.  The
-    search is an exact DFS over simple paths with the pairwise
-    no-back-edge test; candidates are pre-filtered to vertices that can
-    still reach the outcome through forward/undirected edges, which only
-    discards provably hopeless extensions.
+    Proper means only the first vertex lies in the treatment set.  Decided
+    by :func:`proper_undirected_start_path`, in polynomial time.
     """
-    a_idx = {g.index(v) for v in treatment}
-    t = g.index(outcome)
-    if t in a_idx:
-        raise GraphValidationError("outcome cannot be part of the treatment set")
-
-    # relaxed reverse reachability: an over-approximation of "can reach t"
-    reach = {t}
-    stack = [t]
-    while stack:
-        j = stack.pop()
-        for i in (g._pa[j] | g._nb[j]) - a_idx:
-            if i not in reach:
-                reach.add(i)
-                stack.append(i)
-
-    def walk(v: int, on_path: set[int]) -> bool:
-        for w in g._ch[v] | g._nb[v]:
-            if w == t and _no_back_edge(g, w, on_path):
-                return True
-            if w in on_path or w in a_idx or w not in reach:
-                continue
-            if not _no_back_edge(g, w, on_path):
-                continue
-            on_path.add(w)
-            if walk(w, on_path):
-                return True
-            on_path.remove(w)
-        return False
-
-    for s in a_idx:
-        for w in g._nb[s]:  # the first edge must be undirected
-            if w == t:
-                return True
-            if w in a_idx or w not in reach:
-                continue
-            if walk(w, {s, w}):
-                return True
-    return False
+    return proper_undirected_start_path(g, treatment, outcome) is not None
 
 
 def saturated_mpdag(g: Pdag) -> Mpdag:

@@ -16,11 +16,12 @@ from typing import Iterable
 from .errors import GraphValidationError, NotIdentifiedError
 from .graph import (
     BucketDecomposition,
-    Mpdag,
     Pdag,
+    _as_mpdag,
     ancestors_in_subgraph,
     bucket_decomposition,
     exists_proper_possibly_causal_undirected_start,
+    proper_undirected_start_path,
 )
 
 __all__ = ["IdentificationPlan", "is_identified", "build_plan"]
@@ -67,9 +68,20 @@ def is_identified(g: Pdag, treatment: Iterable[str], outcome: str) -> bool:
     return not exists_proper_possibly_causal_undirected_start(g, treatment, outcome)
 
 
+def _render_path(g: Pdag, path: tuple[str, ...]) -> str:
+    steps = [path[0]]
+    for u, v in zip(path, path[1:]):
+        steps.append(("-> " if g.has_directed(u, v) else "- ") + v)
+    return " ".join(steps)
+
+
 def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> IdentificationPlan:
     """Construct the estimation plan, raising :class:`NotIdentifiedError`
     when the effect is not identified.
+
+    The error's ``path`` attribute holds one blocking path: a proper
+    possibly causal path from the treatment to the outcome whose first edge
+    is undirected.
 
     The plan keeps only buckets with a non-empty intersection D_k with
     D = An(outcome) after removing the treatment.  Identification guarantees
@@ -78,12 +90,14 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
     treatment set or an earlier D_j.
     """
     treatment = _check_query(g, treatment, outcome)
-    if not isinstance(g, Mpdag):
-        g = Mpdag(g.vertices, g.directed_edges, g.undirected_edges)
+    g = _as_mpdag(g)
     if exists_proper_possibly_causal_undirected_start(g, treatment, outcome):
+        path = proper_undirected_start_path(g, treatment, outcome)
         raise NotIdentifiedError(
             f"total effect of {sorted(treatment)} on {outcome!r} is not identified: "
-            "a proper possibly causal path starts with an undirected edge"
+            f"the proper possibly causal path {_render_path(g, path)} starts with "
+            "an undirected edge",
+            path=path,
         )
     d_set = ancestors_in_subgraph(g, outcome, removed=treatment)
     dec = bucket_decomposition(g)
@@ -98,12 +112,14 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
             continue
         pa_dk = set().union(*(g.parents_of(v) for v in dk)) - set(dk)
         pa_bucket = set(dec.external_parents[k])
-        assert pa_dk == pa_bucket, (
-            f"parents of D_k {dk} differ from the bucket's external parents"
-        )
-        assert pa_bucket <= earlier, (
-            f"bucket parents {sorted(pa_bucket)} escape treatment + earlier D"
-        )
+        if pa_dk != pa_bucket:
+            raise GraphValidationError(
+                f"parents of D_k {dk} differ from the bucket's external parents"
+            )
+        if not pa_bucket <= earlier:
+            raise GraphValidationError(
+                f"bucket parents {sorted(pa_bucket)} escape treatment + earlier D"
+            )
         bucket_order.append(k)
         d_buckets.append(dk)
         parents.append(dec.external_parents[k])

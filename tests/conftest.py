@@ -101,12 +101,15 @@ def exact_cov_data(sigma: np.ndarray, n: int) -> np.ndarray:
     return np.vstack([c, np.zeros((n - p, p))])
 
 
-def random_mpdag(rng: np.random.Generator, p: int, orient_frac: float = 0.4):
+def random_mpdag(
+    rng: np.random.Generator, p: int, orient_frac: float = 0.4, degree: float = 2.5
+):
     """A random MPDAG together with a DAG it represents: take a random DAG's
-    CPDAG and feed back a subset of the dropped orientations as knowledge."""
+    CPDAG (expected degree ``degree``, at most p - 1) and feed back a subset
+    of the dropped orientations as knowledge."""
     from causaleffects import random_dag
 
-    dag = random_dag(p, expected_degree=min(2.5, p - 1), rng=rng)
+    dag = random_dag(p, expected_degree=min(degree, p - 1), rng=rng)
     cpdag = cpdag_from_dag(dag)
     dag_dir = set(dag.directed_edges)
     known = [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from causaleffects import (
     exists_proper_possibly_causal_undirected_start,
     graph_from_dict,
     graph_to_dict,
+    is_identified,
     load_graph,
     meek_closure,
     possible_descendants,
+    proper_undirected_start_path,
     random_dag,
     rng_from_seed,
     rule_violations,
@@ -317,6 +320,18 @@ def test_bucket_tie_break_is_deterministic():
     assert b.buckets == (("a", "b"), ("c", "d"))
     assert b.external_parents == ((), ())
 
+    # ties on two levels, placed from the sink end by decreasing leading
+    # vertex: {b} and {d, f} are ready first, so {d, f} is placed, then {b};
+    # that makes {a, e} ready beside {c}, so {c} is placed, then {a, e}
+    g = Mpdag(
+        ("a", "b", "c", "d", "e", "f"),
+        directed=(("c", "b"), ("a", "d"), ("a", "f"), ("e", "d"), ("e", "f")),
+        undirected=(("a", "e"), ("d", "f")),
+    )
+    b = bucket_decomposition(g)
+    assert b.buckets == (("a", "e"), ("c",), ("b",), ("d", "f"))
+    assert b.external_parents == ((), (), ("c",), ("a", "e"))
+
 
 def test_bucket_unpeelable_raises():
     g = Pdag(("a", "b", "c"), directed=(("a", "c"), ("c", "b")), undirected=(("a", "b"),))
@@ -391,6 +406,17 @@ def test_reachability_matches_path_enumeration(rng):
         assert possible_descendants(g, (s,)) == oracles.possible_descendants_oracle(
             g, (s,)
         )
+    # denser graphs (more undirected triangles, more shielded triples) and
+    # multi-source queries, with and without background knowledge
+    for _ in range(60):
+        p = int(rng.integers(4, 9))
+        g, _ = random_mpdag(rng, p, orient_frac=float(rng.choice([0.0, 0.5])), degree=5.0)
+        labels = g.vertices
+        k = int(rng.integers(1, 4))
+        srcs = tuple(rng.choice(labels, size=k, replace=False))
+        assert possible_descendants(g, srcs) == oracles.possible_descendants_oracle(
+            g, srcs
+        )
 
 
 def test_proper_undirected_start_running_example(three_bucket_graph):
@@ -404,8 +430,8 @@ def test_proper_undirected_start_running_example(three_bucket_graph):
 
 def test_proper_undirected_start_matches_enumeration(rng):
     hits = 0
-    for _ in range(40):
-        g, _ = random_mpdag(rng, int(rng.integers(3, 8)))
+    for trial in range(100):
+        g, _ = random_mpdag(rng, int(rng.integers(3, 8)), degree=2.5 if trial < 40 else 5.0)
         labels = list(g.vertices)
         y = labels[int(rng.integers(len(labels)))]
         rest = [v for v in labels if v != y]
@@ -414,8 +440,53 @@ def test_proper_undirected_start_matches_enumeration(rng):
         got = exists_proper_possibly_causal_undirected_start(g, a, y)
         want = oracles.proper_undirected_start_oracle(g, a, y)
         assert got == want
+        path = proper_undirected_start_path(g, a, y)
+        assert (path is not None) == want
+        if want:
+            # the witness is a simple, proper path from A to y that starts
+            # undirected, follows edges forward and is possibly causal
+            assert len(set(path)) == len(path)
+            assert path[0] in a and not set(path[1:]) & set(a) and path[-1] == y
+            assert g.has_undirected(path[0], path[1])
+            assert all(
+                g.has_directed(u, v) or g.has_undirected(u, v)
+                for u, v in zip(path, path[1:])
+            )
+            assert oracles.possibly_causal(g, path)
         hits += want
-    assert hits > 0  # the case split actually exercised both branches
+    assert 0 < hits < 100  # the case split actually exercised both branches
+
+
+def test_path_searches_finish_on_a_large_clique():
+    """K_25 undirected clique feeding a directed chain: there are about 24!
+    simple paths through the clique, so enumeration cannot finish; the
+    state search answers in milliseconds."""
+    clique = [f"k{i:02d}" for i in range(25)]
+    chain = [f"c{i}" for i in range(10)]
+    g = Mpdag(
+        clique + chain,
+        directed=[(k, "c0") for k in clique] + list(zip(chain, chain[1:])),
+        undirected=[(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]],
+    )
+    t0 = time.perf_counter()
+    assert possible_descendants(g, ("k00",)) == set(g.vertices)
+    assert possible_descendants(g, ("c3",)) == set(chain[3:])
+    assert not is_identified(g, ("k00",), "c9")
+    assert is_identified(g, clique, "c9")
+    path = proper_undirected_start_path(g, ("k00",), "c9")
+    assert path == ("k00", "k01", *chain)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_path_searches_reject_unclosed_graph():
+    # a -> b - c with a, c non-adjacent is not rule-closed (R1 forces b -> c)
+    g = Pdag(("a", "b", "c"), directed=(("a", "b"),), undirected=(("b", "c"),))
+    with pytest.raises(GraphValidationError, match="R1"):
+        possible_descendants(g, ("a",))
+    with pytest.raises(GraphValidationError, match="R1"):
+        exists_proper_possibly_causal_undirected_start(g, ("b",), "c")
+    with pytest.raises(GraphValidationError, match="R1"):
+        is_identified(g, ("b",), "c")
 
 
 # ---------------------------------------------------------------------------

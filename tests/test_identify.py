@@ -27,8 +27,10 @@ def test_identified_running_example(three_bucket_graph):
 def test_single_undirected_edge_not_identified():
     g = Mpdag(("a", "y"), undirected=(("a", "y"),))
     assert not is_identified(g, ("a",), "y")
-    with pytest.raises(NotIdentifiedError, match="undirected"):
+    with pytest.raises(NotIdentifiedError, match="undirected") as info:
         build_plan(g, ("a",), "y")
+    assert info.value.path == ("a", "y")
+    assert "a - y" in str(info.value)
 
 
 def test_dag_always_identified(rng):

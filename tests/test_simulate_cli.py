@@ -200,6 +200,7 @@ def test_cli_id_not_identified(capsys, tmp_path, three_bucket_graph):
     assert code == 1
     payload = json.loads(out)
     assert payload["identified"] is False and "undirected" in payload["reason"]
+    assert payload["blocking_path"] == ["3", "4", "5"]
 
 
 def test_cli_id_bad_query(capsys, chain_graph_file):
