@@ -192,13 +192,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.estimated_graph != "none":
-        print(
-            "--estimated-graph is reserved for estimated inputs; "
-            "only 'none' is implemented",
-            file=sys.stderr,
-        )
-        return _INPUT_ERROR
     try:
         report = run_simulation(
             n_vertices=args.nodes,
@@ -264,7 +257,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--rescale", action="store_true")
     ps.add_argument("--family", choices=["gaussian", "scaled_t5", "logistic", "uniform"])
     ps.add_argument("--per-vertex-families", action="store_true")
-    ps.add_argument("--estimated-graph", default="none", choices=["none", "true"])
     ps.add_argument("--out", help="per-replication CSV path")
     ps.set_defaults(func=_cmd_simulate)
     return parser

@@ -134,14 +134,12 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     ill-conditioned systems."""
     if a.shape[0] == 0:
         return np.zeros((0,) + b.shape[1:])
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+    w = np.linalg.eigvalsh(a)
+    if not w[0] > 0:
         raise IllConditionedError(
             f"{what}: matrix is not positive definite", cond=float("inf")
-        ) from None
-    w = np.linalg.eigvalsh(a)
-    cond = float(w[-1] / w[0]) if w[0] > 0 else float("inf")
+        )
+    cond = float(w[-1] / w[0])
     if cond > COND_LIMIT:
         raise IllConditionedError(
             f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}",
@@ -396,7 +394,6 @@ class EffectEstimate:
     acov: np.ndarray
     method: str
     n: int | None = None
-    gradients: dict[int, np.ndarray] | None = None
     ci_level: float | None = None
     ci_lower: np.ndarray | None = None
     ci_upper: np.ndarray | None = None
@@ -458,6 +455,14 @@ def adjustment_estimate(
     if outcome in treatment:
         raise GraphValidationError("outcome cannot be part of the treatment set")
     cov = sample_covariance(data, columns, center=center)
+    return _adjustment_from_cov(cov, treatment, outcome, adjust)
+
+
+def _adjustment_from_cov(
+    cov: SampleCovariance, treatment: tuple[str, ...], outcome: str, adjust: tuple[str, ...]
+) -> EffectEstimate:
+    """The regression behind :func:`adjustment_estimate`, on any covariance
+    (a population one gives the exact asymptotic variance)."""
     xs = treatment + adjust
     xi = cov.positions(xs)
     yi = cov.positions([outcome])[0]
@@ -486,18 +491,19 @@ def _estimate_from_cov(cov: SampleCovariance, plan: IdentificationPlan):
 def bootstrap_ci(
     data: np.ndarray,
     columns: Sequence[str],
-    graph: Pdag,
-    treatment: Sequence[str],
-    outcome: str,
+    plan: IdentificationPlan,
     n_boot: int = 500,
     level: float = 0.95,
     seed: int = 0,
     center: bool = False,
 ):
-    """Pairs-bootstrap percentile intervals for the estimated effect.
+    """Pairs-bootstrap percentile intervals for the effect that ``plan``
+    (from :func:`build_plan`) identifies.
 
-    Replicate r draws its indices from a counter-derived stream of the
-    master seed, so results are reproducible for any worker count.
+    Every replicate re-runs the plan's regressions on resampled rows; the
+    plan depends only on the graph and is not rebuilt.  Replicate r draws
+    its indices from a counter-derived stream of the master seed, so
+    results are reproducible for any worker count.
     Replicates whose resampled covariance is singular or ill-conditioned
     are rejected and redrawn; more than 10% rejections raises
     :class:`IllConditionedError`.
@@ -510,7 +516,6 @@ def bootstrap_ci(
         raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
     x = np.asarray(data, dtype=float)
     n = x.shape[0]
-    plan = build_plan(graph, treatment, outcome)
     base = np.random.Philox(key=np.uint64(seed))
     taus = np.empty((n_boot, len(plan.treatment)))
     got = 0
@@ -578,15 +583,13 @@ def estimate_total_effect(
         acov=delta_method_acov(model, plan, cov),
         method="g_regression",
         n=cov.n,
-        gradients=effect_gradients(model, plan),
         seed=seed if n_boot else None,
     )
     if n_boot:
         if data is None:
             raise GraphValidationError("bootstrap intervals need raw data, not cov=")
         lower, upper, boot_acov, rej = bootstrap_ci(
-            data, columns, graph, treatment, outcome,
-            n_boot=n_boot, level=level, seed=seed, center=center,
+            data, columns, plan, n_boot=n_boot, level=level, seed=seed, center=center,
         )
         est.ci_level = level
         est.ci_lower = lower

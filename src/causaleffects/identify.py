@@ -91,8 +91,8 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
     """
     treatment = _check_query(g, treatment, outcome)
     g = _as_mpdag(g)
-    if exists_proper_possibly_causal_undirected_start(g, treatment, outcome):
-        path = proper_undirected_start_path(g, treatment, outcome)
+    path = proper_undirected_start_path(g, treatment, outcome)
+    if path is not None:
         raise NotIdentifiedError(
             f"total effect of {sorted(treatment)} on {outcome!r} is not identified: "
             f"the proper possibly causal path {_render_path(g, path)} starts with "

@@ -22,11 +22,13 @@ import numpy as np
 from .errors import CausalEffectsError
 from .estimate import (
     SampleCovariance,
+    _adjustment_from_cov,
     adjustment_estimate,
+    effect_from_lambda,
     efficiency_bound,
-    estimate_total_effect,
     g_regression,
     gbar_regression,
+    sample_covariance,
 )
 from .graph import cpdag_from_dag
 from .identify import build_plan, is_identified
@@ -34,10 +36,8 @@ from .sem import random_dag, random_sem, rng_from_seed, sample, true_effect_bloc
 
 __all__ = ["REPORT_HEADER", "CSV_COLUMNS", "SimReport", "run_simulation"]
 
-REPORT_HEADER = "# causal-effects simreport v1"
+REPORT_HEADER = "# causal-effects simreport v2"
 
-# sq_err_adj_opt / sq_err_ida_m / sq_err_ida_r stay empty: reserved so
-# externally computed contenders can be merged without a schema change.
 CSV_COLUMNS = [
     "rep",
     "seed",
@@ -56,9 +56,6 @@ CSV_COLUMNS = [
     "sq_err_adjustment",
     "rel_sq_err_adjustment",
     "adj_pop_avar_ratio",
-    "sq_err_adj_opt",
-    "sq_err_ida_m",
-    "sq_err_ida_r",
 ]
 
 _AY_REDRAW_CAP = 200
@@ -129,10 +126,9 @@ def _draw_query(dag, cpdag, treat_size, rng):
     return None
 
 
-def _population_avar_ratio(sem, cpdag, treatment, outcome, z):
+def _population_avar_ratio(sem, plan, z):
     """Population OLS-adjustment avar over the efficiency bound, both exact."""
     sigma = SampleCovariance(sem.implied_covariance(), sem.graph.vertices)
-    plan = build_plan(cpdag, treatment, outcome)
     bound = efficiency_bound(
         g_regression(sigma, plan.buckets),
         gbar_regression(sigma, plan.buckets),
@@ -140,14 +136,8 @@ def _population_avar_ratio(sem, cpdag, treatment, outcome, z):
         sigma,
         np.ones(1),
     )
-    xs = list(treatment) + list(z)
-    xi = sigma.positions(xs)
-    yi = sigma.positions([outcome])[0]
-    sxx = sigma.matrix[np.ix_(xi, xi)]
-    sxy = sigma.matrix[xi, yi]
-    beta = np.linalg.solve(sxx, sxy)
-    resid = float(sigma.matrix[yi, yi] - sxy @ beta)
-    avar_adj = resid * float(np.linalg.inv(sxx)[0, 0])
+    adj = _adjustment_from_cov(sigma, plan.treatment, plan.outcome, tuple(z))
+    avar_adj = float(adj.acov[0, 0])
     if bound <= 1e-12:
         return None
     return avar_adj / bound
@@ -162,14 +152,12 @@ def run_simulation(
     rescale: bool = False,
     family: str | None = None,
     per_vertex_families: bool = False,
-    estimated_graph: str = "none",
 ) -> SimReport:
     """Run the benchmark; deterministic in ``seed`` (each replication uses
-    its own counter-derived stream)."""
-    if estimated_graph != "none":
-        raise CausalEffectsError(
-            "estimated-graph inputs are reserved; only 'none' is implemented"
-        )
+    its own counter-derived stream).  Each replication builds one
+    identification plan on the CPDAG and uses it for the g-regression
+    estimate and for the population variance ratio of parent adjustment
+    over the efficiency bound."""
     report = SimReport(
         params={
             "n_vertices": n_vertices,
@@ -204,8 +192,11 @@ def run_simulation(
         treatment, outcome, ay_redraws = query
         tau_true = true_effect_blockform(sem, treatment, outcome)
         data = sample(sem, n, rng)
-        est = estimate_total_effect(cpdag, treatment, outcome, data=data)
-        sq_g = float(np.sum((est.tau - tau_true) ** 2))
+        plan = build_plan(cpdag, treatment, outcome)
+        tau = effect_from_lambda(
+            g_regression(sample_covariance(data, cpdag.vertices), plan.buckets), plan
+        )
+        sq_g = float(np.sum((tau - tau_true) ** 2))
         if sq_g == 0.0:
             raise CausalEffectsError(
                 f"replication {rep}: reference estimator has exactly zero error; "
@@ -235,7 +226,7 @@ def run_simulation(
                 sq_a = float(np.sum((adj.tau - tau_true) ** 2))
                 rec["sq_err_adjustment"] = sq_a
                 rec["rel_sq_err_adjustment"] = sq_a / sq_g
-                ratio = _population_avar_ratio(sem, cpdag, treatment, outcome, z)
+                ratio = _population_avar_ratio(sem, plan, z)
                 if ratio is not None:
                     rec["adj_pop_avar_ratio"] = ratio
         report.records.append(rec)
@@ -256,8 +247,5 @@ def run_simulation(
             "geometric_mean_rel_sq_err": _geometric_mean(rel_adj),
             "median_rel_sq_err": float(median(rel_adj)),
         },
-        "adj_opt": None,
-        "ida_m": None,
-        "ida_r": None,
     }
     return report

@@ -30,6 +30,7 @@ from causaleffects import (
     sample_covariance,
     true_effect_pathsum,
 )
+from causaleffects.estimate import _solve_spd
 
 from .conftest import exact_cov_data, random_mpdag
 
@@ -369,17 +370,35 @@ def test_ill_conditioned_parents_refused():
     assert exc.value.cond is None or exc.value.cond > 1e10
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # exactly singular
+    ],
+)
+def test_solve_refuses_non_positive_definite(a):
+    with pytest.raises(IllConditionedError, match="not positive definite") as exc:
+        _solve_spd(a, np.ones(2), "test system")
+    assert exc.value.cond == float("inf")
+
+
 def test_bootstrap_is_deterministic(chain_sem):
     rng = rng_from_seed(11)
     data = sample(chain_sem, 400, rng)
     g = chain_sem.graph
+    plan = build_plan(g, ("a",), "y")
     kw = dict(n_boot=80, level=0.9, seed=123)
-    lo1, hi1, acov1, rej1 = bootstrap_ci(data, g.vertices, g, ("a",), "y", **kw)
-    lo2, hi2, acov2, rej2 = bootstrap_ci(data, g.vertices, g, ("a",), "y", **kw)
+    lo1, hi1, acov1, rej1 = bootstrap_ci(data, g.vertices, plan, **kw)
+    lo2, hi2, acov2, rej2 = bootstrap_ci(data, g.vertices, plan, **kw)
     assert np.array_equal(lo1, lo2) and np.array_equal(hi1, hi2)
     assert np.array_equal(acov1, acov2) and rej1 == rej2
-    lo3, _, _, _ = bootstrap_ci(data, g.vertices, g, ("a",), "y", n_boot=80, level=0.9, seed=124)
+    lo3, _, _, _ = bootstrap_ci(data, g.vertices, plan, n_boot=80, level=0.9, seed=124)
     assert not np.array_equal(lo1, lo3)
+    # the pipeline hands its own plan to the bootstrap: same replicates
+    est = estimate_total_effect(g, ("a",), "y", data=data, **kw)
+    assert np.array_equal(est.ci_lower, lo1) and np.array_equal(est.ci_upper, hi1)
+    assert np.array_equal(est.boot_acov, acov1) and est.boot_rejected == rej1
 
 
 def test_bootstrap_acov_tracks_delta_method(chain_sem):
@@ -407,4 +426,4 @@ def test_bootstrap_refuses_fragile_samples():
     # block is exactly rank one
     data = np.vstack([row_r, row_r, row_r, row_r, row_s])
     with pytest.raises(IllConditionedError, match="bootstrap"):
-        bootstrap_ci(data, ("z1", "z2", "b"), g, ("z1",), "b", n_boot=50, seed=2)
+        bootstrap_ci(data, ("z1", "z2", "b"), build_plan(g, ("z1",), "b"), n_boot=50, seed=2)

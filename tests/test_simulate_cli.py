@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from causaleffects import (
-    CausalEffectsError,
     Mpdag,
     Pdag,
     estimate_total_effect,
@@ -72,9 +71,7 @@ def test_simulation_report_shape():
     adj = rep.summary["adjustment"]
     assert adj is not None and adj["n_reps"] <= 6
     assert np.isfinite(adj["geometric_mean_rel_sq_err"])
-    # reserved contender slots stay empty until external results are merged
-    assert rep.summary["adj_opt"] is None
-    assert rep.summary["ida_m"] is None
+    assert set(rep.summary) == {"g_regression", "adjustment"}
 
 
 def test_simulation_joint_treatment_skips_adjustment():
@@ -92,12 +89,6 @@ def test_simulation_csv_layout(tmp_path):
     assert lines[0] == REPORT_HEADER
     assert lines[1].split(",") == CSV_COLUMNS
     assert len(lines) == 2 + 3
-
-
-def test_simulation_rejects_reserved_mode():
-    with pytest.raises(CausalEffectsError, match="reserved"):
-        run_simulation(n_vertices=4, treat_size=1, n=100, reps=1, seed=0,
-                       estimated_graph="true")
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +347,3 @@ def test_cli_simulate_deterministic(capsys, tmp_path):
     code2, out2, _ = _run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_cli_simulate_reserved_flag(capsys):
-    code, _, err = _run(
-        capsys, "simulate", "--nodes", "4", "--estimated-graph", "true"
-    )
-    assert code == 3 and "reserved" in err
