@@ -20,18 +20,13 @@ divide by n (see :attr:`EffectEstimate.se`) for finite-sample use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSampleError,
-    GraphValidationError,
-    IllConditionedError,
-    NotIdentifiedError,
-)
-from .graph import BucketDecomposition, Mpdag, Pdag, bucket_decomposition
+from .errors import DegenerateSampleError, GraphValidationError, IllConditionedError
+from .graph import BucketDecomposition, Pdag
 from .identify import IdentificationPlan, build_plan
 
 __all__ = [
@@ -158,12 +153,17 @@ class BlockRecursiveModel:
     parent and one column per bucket member; parentless buckets get a
     0-row block and ``omega_blocks[k]`` equal to the bucket's marginal
     covariance.
+
+    A model fitted for an :class:`IdentificationPlan` holds the blocks of
+    the plan's buckets (``plan.bucket_order``) only, which is all the effect
+    and its variance read; the other entries are ``None``, and
+    :func:`covariance_map` refuses such a model.
     """
 
     buckets: BucketDecomposition
     mode: str
-    lambda_blocks: tuple[np.ndarray, ...]
-    omega_blocks: tuple[np.ndarray, ...]
+    lambda_blocks: tuple[np.ndarray | None, ...]
+    omega_blocks: tuple[np.ndarray | None, ...]
 
     def parents(self, k: int) -> tuple[str, ...]:
         if self.mode == "g":
@@ -171,15 +171,22 @@ class BlockRecursiveModel:
         return self.buckets.prefix(k)
 
 
-def _block_regression(cov: SampleCovariance, buckets: BucketDecomposition, mode: str):
+def _block_regression(
+    cov: SampleCovariance, target: BucketDecomposition | IdentificationPlan, mode: str
+) -> BlockRecursiveModel:
+    if isinstance(target, IdentificationPlan):
+        buckets, fitted = target.buckets, target.bucket_order
+    else:
+        buckets, fitted = target, range(len(target))
     if set(cov.vertex_order) != set(buckets.vertex_order):
         raise GraphValidationError(
             "covariance and bucket decomposition cover different vertex sets"
         )
     s = cov.matrix
-    lambdas = []
-    omegas = []
-    for k, bucket in enumerate(buckets.buckets):
+    lambdas: list[np.ndarray | None] = [None] * len(buckets)
+    omegas: list[np.ndarray | None] = [None] * len(buckets)
+    for k in fitted:
+        bucket = buckets.buckets[k]
         pa = buckets.external_parents[k] if mode == "g" else buckets.prefix(k)
         bi = cov.positions(bucket)
         sb = s[np.ix_(bi, bi)]
@@ -193,18 +200,26 @@ def _block_regression(cov: SampleCovariance, buckets: BucketDecomposition, mode:
             lam = _solve_spd(spp, spb, f"regression of bucket {bucket} on {pa}")
             omega = sb - spb.T @ lam
             omega = (omega + omega.T) / 2.0
-        lambdas.append(lam)
-        omegas.append(omega)
+        lambdas[k] = lam
+        omegas[k] = omega
     return BlockRecursiveModel(buckets, mode, tuple(lambdas), tuple(omegas))
 
 
-def g_regression(cov: SampleCovariance, buckets: BucketDecomposition) -> BlockRecursiveModel:
+def g_regression(
+    cov: SampleCovariance, buckets: BucketDecomposition | IdentificationPlan
+) -> BlockRecursiveModel:
     """Least-squares coefficient and residual blocks, one bucket at a time,
-    each bucket regressed on its external parents in the graph."""
+    each bucket regressed on its external parents in the graph.
+
+    Given a :class:`BucketDecomposition` every bucket is fitted; given an
+    :class:`IdentificationPlan` only the plan's buckets are, so a bucket
+    the effect does not read can neither cost time nor refuse the fit."""
     return _block_regression(cov, buckets, "g")
 
 
-def gbar_regression(cov: SampleCovariance, buckets: BucketDecomposition) -> BlockRecursiveModel:
+def gbar_regression(
+    cov: SampleCovariance, buckets: BucketDecomposition | IdentificationPlan
+) -> BlockRecursiveModel:
     """Same as :func:`g_regression` but regressing every bucket on the full
     union of earlier buckets (the saturated parent sets)."""
     return _block_regression(cov, buckets, "gbar")
@@ -215,8 +230,15 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
 
     Inverse of the regression map: for blocks computed from a positive
     definite covariance the round trip reproduces it.  Rows/columns follow
-    ``model.buckets.vertex_order``.
+    ``model.buckets.vertex_order``.  Needs every bucket's blocks, so a
+    model fitted for a plan raises :class:`GraphValidationError`.
     """
+    missing = [k for k, lam in enumerate(model.lambda_blocks) if lam is None]
+    if missing:
+        raise GraphValidationError(
+            f"covariance_map needs every bucket's blocks; buckets {missing} "
+            "were not fitted"
+        )
     buckets = model.buckets
     order = buckets.vertex_order
     pos = {v: i for i, v in enumerate(order)}
@@ -244,33 +266,43 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
     return s
 
 
-def _assemble_effect(model: BlockRecursiveModel, plan: IdentificationPlan):
-    """Lambda_{A,D}, (I - Lambda_{D,D})^{-1} and index bookkeeping."""
-    if model.buckets != plan.buckets:
-        raise GraphValidationError(
-            "model and plan were built from different bucket decompositions"
-        )
+def _effect_matrices(plan: IdentificationPlan, blocks, parents):
+    """Lambda_{A,D}, (I - Lambda_{D,D})^{-1} and index bookkeeping from the
+    coefficient blocks of the plan's buckets (``blocks`` and ``parents``
+    aligned with ``plan.bucket_order``).  Blocks may carry leading stack
+    axes; the outputs then carry the same ones."""
     a_list = plan.treatment
     d_list = plan.d_set
     a_pos = {v: i for i, v in enumerate(a_list)}
     d_pos = {v: i for i, v in enumerate(d_list)}
-    lam_ad = np.zeros((len(a_list), len(d_list)))
-    lam_dd = np.zeros((len(d_list), len(d_list)))
-    for k, dk in zip(plan.bucket_order, plan.d_buckets):
-        bucket = model.buckets.buckets[k]
-        lam = model.lambda_blocks[k]
-        cols = {v: i for i, v in enumerate(bucket)}
+    stack = blocks[0].shape[:-2]
+    lam_ad = np.zeros(stack + (len(a_list), len(d_list)))
+    lam_dd = np.zeros(stack + (len(d_list), len(d_list)))
+    for k, dk, lam, pa in zip(plan.bucket_order, plan.d_buckets, blocks, parents):
+        cols = {v: i for i, v in enumerate(plan.buckets.buckets[k])}
         for v in dk:
             j = d_pos[v]
-            for i, u in enumerate(model.parents(k)):
-                val = lam[i, cols[v]]
+            for i, u in enumerate(pa):
+                val = lam[..., i, cols[v]]
                 if u in a_pos:
-                    lam_ad[a_pos[u], j] = val
+                    lam_ad[..., a_pos[u], j] = val
                 elif u in d_pos:
-                    lam_dd[d_pos[u], j] = val
+                    lam_dd[..., d_pos[u], j] = val
                 # parents outside A and D carry no weight in the effect
     m = np.linalg.solve(np.eye(len(d_list)) - lam_dd, np.eye(len(d_list)))
     return lam_ad, m, a_pos, d_pos
+
+
+def _assemble_effect(model: BlockRecursiveModel, plan: IdentificationPlan):
+    """:func:`_effect_matrices` of a model, which must hold the plan's blocks."""
+    if model.buckets != plan.buckets:
+        raise GraphValidationError(
+            "model and plan were built from different bucket decompositions"
+        )
+    blocks = [model.lambda_blocks[k] for k in plan.bucket_order]
+    if any(lam is None for lam in blocks):
+        raise GraphValidationError("model does not hold every bucket of the plan")
+    return _effect_matrices(plan, blocks, [model.parents(k) for k in plan.bucket_order])
 
 
 def effect_from_lambda(model: BlockRecursiveModel, plan: IdentificationPlan) -> np.ndarray:
@@ -483,9 +515,34 @@ def _adjustment_from_cov(
     )
 
 
-def _estimate_from_cov(cov: SampleCovariance, plan: IdentificationPlan):
-    model = g_regression(cov, plan.buckets)
-    return effect_from_lambda(model, plan), model
+def _stacked_effects(stack: np.ndarray, plan: IdentificationPlan, local: dict):
+    """The plan's regressions on a stack of second-moment matrices.
+
+    ``stack`` has shape (B, c, c) over the plan's c columns, ``local`` maps
+    a label to its column.  Each bucket's parent blocks get one batched
+    ``eigvalsh``, with the test of :func:`_solve_spd` (positive definite,
+    condition number at most :data:`COND_LIMIT`); the matrices that pass
+    every bucket get one batched ``solve`` per bucket and one for
+    (I - Lambda_{D,D}).  Returns the tau of each matrix that passes, in
+    stack order.
+    """
+    ok = np.ones(len(stack), dtype=bool)
+    systems = []
+    for k, pa in zip(plan.bucket_order, plan.parents_per_bucket):
+        pi = np.array([local[u] for u in pa], dtype=int)
+        bi = np.array([local[v] for v in plan.buckets.buckets[k]], dtype=int)
+        spp = stack[:, pi[:, None], pi]
+        if pa:
+            w = np.linalg.eigvalsh(spp)
+            pd = w[:, 0] > 0
+            ok &= pd & (w[:, -1] / np.where(pd, w[:, 0], 1.0) <= COND_LIMIT)
+        systems.append((spp, stack[:, pi[:, None], bi]))
+    blocks = [
+        np.linalg.solve(spp[ok], spb[ok]) if spp.shape[1] else spb[ok]
+        for spp, spb in systems
+    ]
+    lam_ad, m, _, d_pos = _effect_matrices(plan, blocks, plan.parents_per_bucket)
+    return (lam_ad @ m[:, :, d_pos[plan.outcome], None])[:, :, 0]
 
 
 def bootstrap_ci(
@@ -500,13 +557,22 @@ def bootstrap_ci(
     """Pairs-bootstrap percentile intervals for the effect that ``plan``
     (from :func:`build_plan`) identifies.
 
-    Every replicate re-runs the plan's regressions on resampled rows; the
-    plan depends only on the graph and is not rebuilt.  Replicate r draws
-    its indices from a counter-derived stream of the master seed, so
-    results are reproducible for any worker count.
-    Replicates whose resampled covariance is singular or ill-conditioned
-    are rejected and redrawn; more than 10% rejections raises
+    Every replicate re-runs the regressions of the plan's buckets
+    (``plan.bucket_order``) on resampled rows; the plan depends only on the
+    graph and is not rebuilt.  Replicate r draws its indices from a
+    counter-derived stream of the master seed, so results are reproducible
+    for any worker count.  A replicate is rejected when its full resampled
+    covariance is not positive definite (:func:`sample_covariance`), or
+    when a plan bucket's parent covariance is not positive definite or has
+    a condition number above :data:`COND_LIMIT`; buckets outside the plan
+    are not fitted and reject nothing.  Rejected replicates are redrawn
+    from the next streams; more than 10% rejections raises
     :class:`IllConditionedError`.
+
+    The replicates are fitted together: each one's covariance over the
+    plan's columns goes into a stack, and every plan bucket's test and
+    solve runs once per stack (:func:`_stacked_effects`).  Results equal
+    those of fitting one replicate at a time.
 
     Returns ``(lower, upper, boot_acov, n_rejected)`` where ``boot_acov``
     is n times the covariance of the replicate estimates (the bootstrap
@@ -514,28 +580,45 @@ def bootstrap_ci(
     """
     if not 0.0 < level < 1.0:
         raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
+    if set(columns) != set(plan.buckets.vertex_order):
+        raise GraphValidationError("data columns and plan cover different vertex sets")
     x = np.asarray(data, dtype=float)
     n = x.shape[0]
+    labels = list(dict.fromkeys(
+        v for k, pa in zip(plan.bucket_order, plan.parents_per_bucket)
+        for v in pa + plan.buckets.buckets[k]
+    ))
+    col = {v: i for i, v in enumerate(columns)}
+    sub = np.array([col[v] for v in labels], dtype=int)
+    local = {v: i for i, v in enumerate(labels)}
     base = np.random.Philox(key=np.uint64(seed))
     taus = np.empty((n_boot, len(plan.treatment)))
     got = 0
     rejected = 0
     stream = 0
-    while got < n_boot:
-        if rejected > max(10, n_boot):
-            break
-        rng = np.random.Generator(base.jumped(stream))
-        stream += 1
-        idx = rng.integers(0, n, size=n)
-        xb = x[idx]
-        try:
-            cov = sample_covariance(xb, columns, center=center)
-            tau, _ = _estimate_from_cov(cov, plan)
-        except (DegenerateSampleError, IllConditionedError):
-            rejected += 1
-            continue
-        taus[got] = tau
-        got += 1
+    cap = max(10, n_boot)
+    while got < n_boot and rejected <= cap:
+        # the streams still needed: a resample whose full covariance is not
+        # positive definite is rejected here, the others enter the stack
+        need = n_boot - got
+        stack = np.empty((need, len(sub), len(sub)))
+        kept = np.zeros(need, dtype=bool)
+        for r in range(need):
+            rng = np.random.Generator(base.jumped(stream + r))
+            idx = rng.integers(0, n, size=n)
+            try:
+                s = sample_covariance(x[idx], columns, center=center).matrix
+            except DegenerateSampleError:
+                continue
+            stack[r] = s[np.ix_(sub, sub)]
+            kept[r] = True
+        stream += need
+        boot = _stacked_effects(stack[kept], plan, local)
+        taus[got:got + len(boot)] = boot
+        got += len(boot)
+        # a batch with a rejection leaves replicates to draw, so only the
+        # count matters; one replicate at a time stops drawing at cap + 1
+        rejected = min(rejected + need - len(boot), cap + 1)
     if rejected > 0.10 * (n_boot + rejected):
         raise IllConditionedError(
             f"bootstrap rejected {rejected} of {n_boot + rejected} replicates "
@@ -575,7 +658,8 @@ def estimate_total_effect(
         columns = tuple(columns) if columns is not None else graph.vertices
         cov = sample_covariance(data, columns, center=center)
     plan = build_plan(graph, treatment, outcome)
-    tau, model = _estimate_from_cov(cov, plan)
+    model = g_regression(cov, plan)
+    tau = effect_from_lambda(model, plan)
     est = EffectEstimate(
         treatment=plan.treatment,
         outcome=outcome,

@@ -19,7 +19,7 @@ from statistics import median
 
 import numpy as np
 
-from .errors import CausalEffectsError
+from .errors import CausalEffectsError, NotIdentifiedError
 from .estimate import (
     SampleCovariance,
     _adjustment_from_cov,
@@ -31,7 +31,7 @@ from .estimate import (
     sample_covariance,
 )
 from .graph import cpdag_from_dag
-from .identify import build_plan, is_identified
+from .identify import build_plan
 from .sem import random_dag, random_sem, rng_from_seed, sample, true_effect_blockform
 
 __all__ = ["REPORT_HEADER", "CSV_COLUMNS", "SimReport", "run_simulation"]
@@ -97,7 +97,8 @@ def _geometric_mean(values: list[float]) -> float:
 def _draw_query(dag, cpdag, treat_size, rng):
     """Sample a treatment set among vertices with descendants and an outcome
     among their descendants until the effect is identified from the CPDAG.
-    Returns (treatment, outcome, redraws) or None to request a fresh DAG."""
+    Returns (plan, redraws), with the plan from :func:`build_plan`, or None
+    to request a fresh DAG."""
     g = dag
     desc = []
     for i in range(g.n_vertices):
@@ -121,8 +122,10 @@ def _draw_query(dag, cpdag, treat_size, rng):
         y_idx = pool[rng.integers(len(pool))]
         treatment = tuple(g.vertices[i] for i in sorted(a_idx))
         outcome = g.vertices[y_idx]
-        if is_identified(cpdag, treatment, outcome):
-            return treatment, outcome, redraw
+        try:
+            return build_plan(cpdag, treatment, outcome), redraw
+        except NotIdentifiedError:
+            continue
     return None
 
 
@@ -130,8 +133,8 @@ def _population_avar_ratio(sem, plan, z):
     """Population OLS-adjustment avar over the efficiency bound, both exact."""
     sigma = SampleCovariance(sem.implied_covariance(), sem.graph.vertices)
     bound = efficiency_bound(
-        g_regression(sigma, plan.buckets),
-        gbar_regression(sigma, plan.buckets),
+        g_regression(sigma, plan),
+        gbar_regression(sigma, plan),
         plan,
         sigma,
         np.ones(1),
@@ -155,9 +158,10 @@ def run_simulation(
 ) -> SimReport:
     """Run the benchmark; deterministic in ``seed`` (each replication uses
     its own counter-derived stream).  Each replication builds one
-    identification plan on the CPDAG and uses it for the g-regression
-    estimate and for the population variance ratio of parent adjustment
-    over the efficiency bound."""
+    identification plan on the CPDAG (while drawing the query) and uses it
+    for the g-regression estimate and for the population variance ratio of
+    parent adjustment over the efficiency bound; every regression fits the
+    plan's buckets only."""
     report = SimReport(
         params={
             "n_vertices": n_vertices,
@@ -189,12 +193,12 @@ def run_simulation(
                 raise CausalEffectsError(
                     "could not draw an identified query; graph family too hostile"
                 )
-        treatment, outcome, ay_redraws = query
+        plan, ay_redraws = query
+        treatment, outcome = plan.treatment, plan.outcome
         tau_true = true_effect_blockform(sem, treatment, outcome)
         data = sample(sem, n, rng)
-        plan = build_plan(cpdag, treatment, outcome)
         tau = effect_from_lambda(
-            g_regression(sample_covariance(data, cpdag.vertices), plan.buckets), plan
+            g_regression(sample_covariance(data, cpdag.vertices), plan), plan
         )
         sq_g = float(np.sum((tau - tau_true) ** 2))
         if sq_g == 0.0:

@@ -87,6 +87,23 @@ def confounder_sem() -> LinearSem:
     return LinearSem(graph=graph, gamma=gamma, errors=errors)
 
 
+@pytest.fixture
+def side_collider() -> tuple[Mpdag, np.ndarray]:
+    """a -> y beside a collider z1 -> w <- z2, with its population covariance:
+    the effect of a on y is 0.5, and the parents z1, z2 of w have correlation
+    1 - 1e-12 (condition number ~2e12), so regressing w on them is refused.
+    Vertex order a, y, z1, z2, w."""
+    graph = Mpdag(
+        vertices=("a", "y", "z1", "z2", "w"),
+        directed=(("a", "y"), ("z1", "w"), ("z2", "w")),
+    )
+    sigma = np.eye(5)
+    sigma[0, 1] = sigma[1, 0] = 0.5
+    sigma[1, 1] = 1.25
+    sigma[2, 3] = sigma[3, 2] = 1.0 - 1e-12
+    return graph, sigma
+
+
 # ---------------------------------------------------------------------------
 # helpers
 

@@ -298,3 +298,76 @@ def identified_bruteforce(g, treatment, outcome, rng, tol=1e-9):
     taus = np.array(taus)
     spread = float(np.max(np.abs(taus - taus[0]))) if len(taus) > 1 else 0.0
     return spread < tol, spread
+
+
+def _replicate_effect(xb, pos, plan, center, cond_limit):
+    """tau of one resample by the plan's bucket regressions, or None when the
+    replicate is rejected: its second-moment matrix is not positive definite
+    (Cholesky fails), or a plan bucket's parent block is not positive
+    definite or has a condition number above ``cond_limit``."""
+    n = xb.shape[0]
+    if center:
+        xb = xb - xb.mean(axis=0)
+    s = xb.T @ xb / n
+    s = (s + s.T) / 2.0
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    lam = {}
+    for k, pa in zip(plan.bucket_order, plan.parents_per_bucket):
+        if not pa:
+            continue
+        bucket = plan.buckets.buckets[k]
+        pi = [pos[u] for u in pa]
+        spp = s[np.ix_(pi, pi)]
+        w = np.linalg.eigvalsh(spp)
+        if not (w[0] > 0 and w[-1] / w[0] <= cond_limit):
+            return None
+        coef = np.linalg.solve(spp, s[np.ix_(pi, [pos[v] for v in bucket])])
+        for i, u in enumerate(pa):
+            for j, v in enumerate(bucket):
+                lam[(u, v)] = coef[i, j]
+    d = plan.d_set
+    lam_ad = np.array([[lam.get((a, v), 0.0) for v in d] for a in plan.treatment])
+    lam_dd = np.array([[lam.get((u, v), 0.0) for v in d] for u in d])
+    m = np.linalg.solve(np.eye(len(d)) - lam_dd, np.eye(len(d)))
+    return lam_ad @ m[:, d.index(plan.outcome)]
+
+
+def bootstrap_loop_oracle(data, columns, plan, n_boot, level, seed, center=False,
+                          cond_limit=1e10):
+    """The pairs bootstrap one replicate at a time, fitting the plan's
+    buckets only (reads the plan's label tuples, nothing else of the
+    package).
+
+    Replicate streams come from ``Philox(seed).jumped(r)`` in counter order;
+    a rejected replicate is counted and the next stream drawn, and drawing
+    stops once more than ``max(10, n_boot)`` were rejected.  Returns
+    ``(lower, upper, boot_acov, rejected)``, with the first three ``None``
+    when more than 10% of the replicates were rejected.
+    """
+    x = np.asarray(data, dtype=float)
+    n = x.shape[0]
+    pos = {v: i for i, v in enumerate(columns)}
+    base = np.random.Philox(key=np.uint64(seed))
+    taus = []
+    rejected = 0
+    stream = 0
+    while len(taus) < n_boot and rejected <= max(10, n_boot):
+        rng = np.random.Generator(base.jumped(stream))
+        stream += 1
+        tau = _replicate_effect(x[rng.integers(0, n, size=n)], pos, plan, center,
+                                cond_limit)
+        if tau is None:
+            rejected += 1
+        else:
+            taus.append(tau)
+    if rejected > 0.10 * (n_boot + rejected):
+        return None, None, None, rejected
+    taus = np.array(taus)
+    alpha = 1.0 - level
+    return (np.quantile(taus, alpha / 2.0, axis=0),
+            np.quantile(taus, 1.0 - alpha / 2.0, axis=0),
+            n * np.atleast_2d(np.cov(taus, rowvar=False)),
+            rejected)

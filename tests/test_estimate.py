@@ -23,6 +23,7 @@ from causaleffects import (
     estimate_total_effect,
     g_regression,
     gbar_regression,
+    is_identified,
     random_dag,
     random_sem,
     rng_from_seed,
@@ -32,6 +33,7 @@ from causaleffects import (
 )
 from causaleffects.estimate import _solve_spd
 
+from . import oracles
 from .conftest import exact_cov_data, random_mpdag
 
 
@@ -370,6 +372,51 @@ def test_ill_conditioned_parents_refused():
     assert exc.value.cond is None or exc.value.cond > 1e10
 
 
+def test_plan_fit_ignores_buckets_outside_the_plan(side_collider):
+    g, sigma = side_collider
+    cov = SampleCovariance(sigma, g.vertices)
+    # fitting every bucket refuses w's nearly collinear parents ...
+    with pytest.raises(IllConditionedError):
+        g_regression(cov, bucket_decomposition(g))
+    # ... which the effect of a on y never reads
+    est = estimate_total_effect(g, ("a",), "y", cov=cov)
+    assert est.tau == pytest.approx([0.5], abs=1e-12)
+    with pytest.raises(IllConditionedError) as exc:
+        estimate_total_effect(g, ("z1",), "w", cov=cov)
+    assert exc.value.cond > 1e10
+
+
+def test_plan_model_holds_exactly_the_plan_blocks(rng):
+    checked = 0
+    while checked < 10:
+        g, dag = random_mpdag(rng, int(rng.integers(5, 10)))
+        labels = g.vertices
+        a = (labels[int(rng.integers(len(labels)))],)
+        y = labels[int(rng.integers(len(labels)))]
+        if y in a or not is_identified(g, a, y):
+            continue
+        plan = build_plan(g, a, y)
+        if len(plan.bucket_order) == len(plan.buckets):
+            continue
+        cov = SampleCovariance(random_sem(dag, rng).implied_covariance(), dag.vertices)
+        for fit in (g_regression, gbar_regression):
+            full = fit(cov, plan.buckets)
+            part = fit(cov, plan)
+            for k in range(len(plan.buckets)):
+                if k in plan.bucket_order:
+                    assert np.array_equal(part.lambda_blocks[k], full.lambda_blocks[k])
+                    assert np.array_equal(part.omega_blocks[k], full.omega_blocks[k])
+                else:
+                    assert part.lambda_blocks[k] is None and part.omega_blocks[k] is None
+            with pytest.raises(GraphValidationError, match="not fitted"):
+                covariance_map(part)
+        full, part = g_regression(cov, plan.buckets), g_regression(cov, plan)
+        assert np.array_equal(effect_from_lambda(part, plan), effect_from_lambda(full, plan))
+        assert np.array_equal(delta_method_acov(part, plan, cov),
+                              delta_method_acov(full, plan, cov))
+        checked += 1
+
+
 @pytest.mark.parametrize(
     "a",
     [
@@ -418,12 +465,73 @@ def test_bootstrap_acov_tracks_delta_method(chain_sem):
 
 def test_bootstrap_refuses_fragile_samples():
     """Tiny n with duplicated resample rows degenerates often enough that
-    the rejection guard trips."""
+    the rejection guard trips, with the count of the one-replicate-at-a-time
+    loop in its message."""
     g = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
+    plan = build_plan(g, ("z1",), "b")
     rng = rng_from_seed(5)
-    row_r, row_s = rng.normal(size=(2, 3))
-    # a third of resamples contain only copies of row_r, whose parent
-    # block is exactly rank one
-    data = np.vstack([row_r, row_r, row_r, row_r, row_s])
-    with pytest.raises(IllConditionedError, match="bootstrap"):
-        bootstrap_ci(data, ("z1", "z2", "b"), build_plan(g, ("z1",), "b"), n_boot=50, seed=2)
+    distinct = dict(zip("rst", rng.normal(size=(3, 3))))
+    # rrrrs: only two distinct rows, a third of resamples copies of r alone;
+    # drawing stops at the cap.  rrrst: over half of the resamples miss s or t.
+    for rows, n_boot in (("rrrrs", 50), ("rrrst", 20)):
+        data = np.array([distinct[c] for c in rows])
+        lower, _, _, rejected = oracles.bootstrap_loop_oracle(
+            data, g.vertices, plan, n_boot=n_boot, level=0.95, seed=2
+        )
+        assert lower is None and (rejected > max(10, n_boot)) == (rows == "rrrrs")
+        with pytest.raises(IllConditionedError, match="bootstrap") as exc:
+            bootstrap_ci(data, g.vertices, plan, n_boot=n_boot, seed=2)
+        assert str(exc.value) == (
+            f"bootstrap rejected {rejected} of {n_boot + rejected} replicates "
+            "(resampled covariances singular)"
+        )
+
+
+def _bootstrap_against_loop(data, columns, plan, **kw):
+    """bootstrap_ci next to the one-replicate-at-a-time oracle: equal to
+    1e-12 and the same rejection count.  Returns the count."""
+    lower, upper, acov, rejected = oracles.bootstrap_loop_oracle(data, columns, plan, **kw)
+    got = bootstrap_ci(data, columns, plan, **kw)
+    assert got[3] == rejected
+    for value, want in zip(got[:3], (lower, upper, acov)):
+        np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-12)
+    return rejected
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_bootstrap_matches_per_replicate_loop(chain_sem, center):
+    data = sample(chain_sem, 300, rng_from_seed(3))
+    plan = build_plan(chain_sem.graph, ("a",), "y")
+    _bootstrap_against_loop(data, chain_sem.graph.vertices, plan,
+                            n_boot=60, level=0.9, seed=5, center=center)
+    rng = rng_from_seed(41)
+    done = 0
+    while done < 20:
+        g, dag = random_mpdag(rng, int(rng.integers(4, 10)))
+        labels = dag.vertices
+        size = 1 + done % 2
+        a = tuple(str(v) for v in rng.choice(labels, size=size, replace=False))
+        y = labels[int(rng.integers(len(labels)))]
+        if y in a or not is_identified(g, a, y):
+            continue
+        data = sample(random_sem(dag, rng), 200, rng)
+        _bootstrap_against_loop(data, labels, build_plan(g, a, y),
+                                n_boot=30, level=0.95, seed=done, center=center)
+        done += 1
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-7])
+@pytest.mark.parametrize("center", [False, True])
+def test_bootstrap_redraws_match_per_replicate_loop(floor, center):
+    """Outside 3 of the 50 rows z2 is zero (floor 0) or at scale 1e-7, so a
+    resample that misses those rows is rejected: by its full covariance
+    (floor 0) or by the condition number of b's parents z1, z2 (1e-7)."""
+    g = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
+    rng = rng_from_seed(17)
+    x = rng.standard_normal((50, 3))
+    x[3:, 1] *= floor
+    x[:, 2] += x[:, 0] + x[:, 1]
+    plan = build_plan(g, ("z1",), "b")
+    rejected = _bootstrap_against_loop(x, g.vertices, plan, n_boot=100, level=0.95,
+                                       seed=4, center=center)
+    assert 0 < rejected <= 11

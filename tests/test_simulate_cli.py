@@ -17,6 +17,8 @@ from causaleffects import (
 from causaleffects.cli import main
 from causaleffects.simulate import CSV_COLUMNS, REPORT_HEADER, run_simulation
 
+from .conftest import exact_cov_data
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -321,6 +323,34 @@ def test_cli_estimate_too_few_rows(capsys, tmp_path, chain_graph_file):
         "--treat", "a", "--outcome", "y",
     )
     assert code == 3 and "bad input" in err
+
+
+def test_cli_estimate_fits_only_the_plan_buckets(capsys, tmp_path, side_collider):
+    g, sigma = side_collider
+    graph_path = tmp_path / "g.json"
+    save_graph(g, graph_path)
+    data_path = tmp_path / "d.csv"
+    x = exact_cov_data(sigma, 10)
+
+    def estimate(treat, outcome):
+        with open(data_path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(g.vertices)
+            w.writerows(x.tolist())
+        return _run(capsys, "estimate", "--graph", str(graph_path), "--data",
+                    str(data_path), "--treat", treat, "--outcome", outcome)
+
+    # w's nearly collinear parents lie outside the plan of a -> y
+    code, out, _ = estimate("a", "y")
+    assert code == 0
+    assert json.loads(out)["tau"]["a"] == pytest.approx(0.5, abs=1e-9)
+    # inside the plan of z1 -> w they still refuse the query
+    code, _, err = estimate("z1", "w")
+    assert code == 4 and "condition number" in err
+    # a constant column leaves the data covariance not positive definite
+    x[:, 4] = 0.0
+    code, _, err = estimate("a", "y")
+    assert code == 3 and "not positive definite" in err
 
 
 # ---------------------------------------------------------------------------
