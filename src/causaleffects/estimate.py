@@ -124,23 +124,42 @@ def sample_covariance(
     return SampleCovariance((s + s.T) / 2.0, tuple(vertex_order), n=n)
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``a x = b`` for symmetric positive definite ``a``, refusing
-    ill-conditioned systems."""
-    if a.shape[0] == 0:
-        return np.zeros((0,) + b.shape[1:])
+def _solve_spd_stack(a: np.ndarray, b: np.ndarray):
+    """Solve the stacked systems ``a[i] x = b[i]`` for symmetric ``a`` of
+    shape (B, p, p) and ``b`` of shape (B, p, m).
+
+    A system is solved only when ``eigvalsh`` finds ``a[i]`` positive
+    definite with condition number at most :data:`COND_LIMIT`.  Returns
+    ``(x, ok, cond)``: ``x`` is zero where ``ok`` is false, and ``cond`` is
+    each condition number (inf when not positive definite).
+    """
+    if a.shape[-1] == 0:
+        return np.zeros(b.shape), np.ones(len(a), dtype=bool), np.ones(len(a))
     w = np.linalg.eigvalsh(a)
-    if not w[0] > 0:
-        raise IllConditionedError(
-            f"{what}: matrix is not positive definite", cond=float("inf")
-        )
-    cond = float(w[-1] / w[0])
-    if cond > COND_LIMIT:
+    pd = w[:, 0] > 0
+    cond = np.where(pd, w[:, -1] / np.where(pd, w[:, 0], 1.0), np.inf)
+    ok = cond <= COND_LIMIT
+    x = np.zeros(b.shape)
+    x[ok] = np.linalg.solve(a[ok], b[ok])
+    return x, ok, cond
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Solve ``a x = b`` for one symmetric positive definite ``a`` by
+    :func:`_solve_spd_stack`, raising :class:`IllConditionedError` for a
+    system it refuses."""
+    x, ok, cond = _solve_spd_stack(a[None], (b[:, None] if b.ndim == 1 else b)[None])
+    cond = float(cond[0])
+    if not ok[0]:
+        if cond == float("inf"):
+            raise IllConditionedError(
+                f"{what}: matrix is not positive definite", cond=cond
+            )
         raise IllConditionedError(
             f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}",
             cond=cond,
         )
-    return np.linalg.solve(a, b)
+    return x[0].reshape(b.shape)
 
 
 @dataclass(frozen=True)
@@ -289,7 +308,10 @@ def _effect_matrices(plan: IdentificationPlan, blocks, parents):
                 elif u in d_pos:
                     lam_dd[..., d_pos[u], j] = val
                 # parents outside A and D carry no weight in the effect
-    m = np.linalg.solve(np.eye(len(d_list)) - lam_dd, np.eye(len(d_list)))
+    # the right-hand side carries the stack axes too: numpy < 2 would read a
+    # 2-d one beside a 3-d left-hand side as a stack of vectors
+    eye = np.eye(len(d_list))
+    m = np.linalg.solve(eye - lam_dd, np.broadcast_to(eye, lam_dd.shape))
     return lam_ad, m, a_pos, d_pos
 
 
@@ -519,28 +541,22 @@ def _stacked_effects(stack: np.ndarray, plan: IdentificationPlan, local: dict):
     """The plan's regressions on a stack of second-moment matrices.
 
     ``stack`` has shape (B, c, c) over the plan's c columns, ``local`` maps
-    a label to its column.  Each bucket's parent blocks get one batched
-    ``eigvalsh``, with the test of :func:`_solve_spd` (positive definite,
-    condition number at most :data:`COND_LIMIT`); the matrices that pass
-    every bucket get one batched ``solve`` per bucket and one for
-    (I - Lambda_{D,D}).  Returns the tau of each matrix that passes, in
+    a label to its column.  Each bucket's regression runs once on the whole
+    stack through :func:`_solve_spd_stack`, which also makes the test and
+    the solve of the one-matrix fit; a matrix refused in any bucket is
+    dropped.  Returns the tau of each matrix that passes every bucket, in
     stack order.
     """
     ok = np.ones(len(stack), dtype=bool)
-    systems = []
+    blocks = []
     for k, pa in zip(plan.bucket_order, plan.parents_per_bucket):
         pi = np.array([local[u] for u in pa], dtype=int)
         bi = np.array([local[v] for v in plan.buckets.buckets[k]], dtype=int)
-        spp = stack[:, pi[:, None], pi]
-        if pa:
-            w = np.linalg.eigvalsh(spp)
-            pd = w[:, 0] > 0
-            ok &= pd & (w[:, -1] / np.where(pd, w[:, 0], 1.0) <= COND_LIMIT)
-        systems.append((spp, stack[:, pi[:, None], bi]))
-    blocks = [
-        np.linalg.solve(spp[ok], spb[ok]) if spp.shape[1] else spb[ok]
-        for spp, spb in systems
-    ]
+        spp, spb = stack[:, pi[:, None], pi], stack[:, pi[:, None], bi]
+        lam, bucket_ok, _ = _solve_spd_stack(spp, spb)
+        ok &= bucket_ok
+        blocks.append(lam)
+    blocks = [lam[ok] for lam in blocks]
     lam_ad, m, _, d_pos = _effect_matrices(plan, blocks, plan.parents_per_bucket)
     return (lam_ad @ m[:, :, d_pos[plan.outcome], None])[:, :, 0]
 

@@ -535,3 +535,33 @@ def test_bootstrap_redraws_match_per_replicate_loop(floor, center):
     rejected = _bootstrap_against_loop(x, g.vertices, plan, n_boot=100, level=0.95,
                                        seed=4, center=center)
     assert 0 < rejected <= 11
+
+
+_SOLVE = np.linalg.solve
+
+
+def _solve_numpy1(a, b):
+    """``np.linalg.solve`` as numpy < 2 reads its arguments: a right-hand
+    side with one axis fewer than ``a`` is a stack of vectors."""
+    a, b = np.asarray(a), np.asarray(b)
+    if b.ndim == a.ndim - 1:
+        return _SOLVE(a, b[..., None])[..., 0]
+    return _SOLVE(a, b)
+
+
+def test_solves_read_the_same_before_numpy2(chain_sem, monkeypatch):
+    """numpy 1.x and 2.x disagree on a right-hand side with one axis fewer
+    than a stacked left-hand side; every solve of the package must give the
+    same result under both readings (pyproject allows numpy>=1.24)."""
+    data = sample(chain_sem, 300, rng_from_seed(8))
+    g = chain_sem.graph
+    plan = build_plan(g, ("a",), "y")
+    kw = dict(n_boot=40, level=0.9, seed=3)
+    runs = []
+    for solve in (_SOLVE, _solve_numpy1):
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        est = estimate_total_effect(g, ("a",), "y", data=data, **kw)
+        runs.append((est.tau, est.acov, est.ci_lower, est.ci_upper, est.boot_acov,
+                     *bootstrap_ci(data, g.vertices, plan, center=True, **kw)))
+    for got, want in zip(runs[1], runs[0]):
+        assert np.array_equal(got, want)
