@@ -67,12 +67,19 @@ def _load_graph(path: str, strict: bool):
         raise SystemExit(_INPUT_ERROR)
 
 
+def _check_row_widths(rows: list[list[str]], width: int) -> None:
+    """Name the first data row whose field count is not ``width``."""
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise _CliInputError(f"data row {k + 1} has {len(row)} fields, the header has {width}")
+
+
 def _read_data_csv(path: str, vertices: tuple[str, ...]):
     """CSV with a header whose columns match the graph's vertex labels
-    exactly (any order); finite decimal values."""
+    exactly (any order); finite decimal values.  Blank lines are skipped."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = filter(None, csv.reader(fh))  # drops blank lines
             header = next(reader, None)
             if header is None:
                 raise _CliInputError("data file is empty")
@@ -94,9 +101,12 @@ def _read_data_csv(path: str, vertices: tuple[str, ...]):
     try:
         x = np.array(rows, dtype=float)
     except ValueError as e:
+        _check_row_widths(rows, len(header))
         raise _CliInputError(f"data values must be decimals: {e}")
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise _CliInputError("data values must be finite and non-empty")
+    if x.shape[1] != len(header):
+        _check_row_widths(rows, len(header))
     order = [header.index(v) for v in vertices]
     return x[:, order]
 

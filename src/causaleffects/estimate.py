@@ -592,8 +592,11 @@ def bootstrap_ci(
 
     Returns ``(lower, upper, boot_acov, n_rejected)`` where ``boot_acov``
     is n times the covariance of the replicate estimates (the bootstrap
-    counterpart of the delta-method acov).
+    counterpart of the delta-method acov).  ``n_boot`` below 2 raises
+    :class:`GraphValidationError`: one replicate has no spread.
     """
+    if n_boot < 2:
+        raise GraphValidationError(f"need at least 2 bootstrap replicates, got {n_boot}")
     if not 0.0 < level < 1.0:
         raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
     if set(columns) != set(plan.buckets.vertex_order):
@@ -665,8 +668,9 @@ def estimate_total_effect(
 
     Exactly one of ``data`` (rows, with ``columns`` naming them; defaults
     to the graph's vertex order) or ``cov`` must be given.  Bootstrap
-    intervals require raw data.  Raises :class:`NotIdentifiedError` when
-    the effect is not identified from ``graph``.
+    intervals require raw data; ``n_boot=0`` asks for none.  Raises
+    :class:`NotIdentifiedError` when the effect is not identified from
+    ``graph``.
     """
     if (data is None) == (cov is None):
         raise GraphValidationError("pass exactly one of data= or cov=")

@@ -85,24 +85,42 @@ class Pdag:
                 raise GraphValidationError(f"unknown vertex label {e.args[0]!r}") from None
             if i == j:
                 raise GraphValidationError(f"self loop at {u!r}")
+            if self._adj(i, j):
+                raise GraphValidationError(f"more than one edge between {u!r} and {v!r}")
             return i, j
 
         for u, v in directed:
             i, j = resolve(u, v)
-            if j in self._ch[i] or i in self._ch[j] or j in self._nb[i]:
-                raise GraphValidationError(f"more than one edge between {u!r} and {v!r}")
             self._ch[i].add(j)
             self._pa[j].add(i)
         for u, v in undirected:
             i, j = resolve(u, v)
-            if j in self._ch[i] or i in self._ch[j] or j in self._nb[i]:
-                raise GraphValidationError(f"more than one edge between {u!r} and {v!r}")
             self._nb[i].add(j)
             self._nb[j].add(i)
-        if self._directed_cycle():
-            raise GraphValidationError("directed part contains a cycle")
+        self._check_acyclic()
 
-    def _directed_cycle(self) -> bool:
+    # -- index-level helpers -------------------------------------------------
+
+    def _adj(self, i: int, j: int) -> bool:
+        return j in self._ch[i] or i in self._ch[j] or j in self._nb[i]
+
+    def _orient(self, i: int, j: int, queue: deque) -> None:
+        """Direct the edge between vertices i and j as i -> j and queue it;
+        a no-op when it already is, an error when it points j -> i."""
+        if j in self._ch[i]:
+            return
+        if j in self._pa[i]:
+            raise GraphValidationError(
+                "orientation rules conflict: edge forced in both directions "
+                f"between vertex indices {i} and {j}"
+            )
+        self._nb[i].discard(j)
+        self._nb[j].discard(i)
+        self._ch[i].add(j)
+        self._pa[j].add(i)
+        queue.append((i, j))
+
+    def _check_acyclic(self) -> None:
         indeg = [len(s) for s in self._pa]
         queue = deque(i for i, d in enumerate(indeg) if d == 0)
         seen = 0
@@ -113,7 +131,8 @@ class Pdag:
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     queue.append(j)
-        return seen != len(self.vertices)
+        if seen != len(self.vertices):
+            raise GraphValidationError("directed part contains a cycle")
 
     # -- label-level queries -------------------------------------------------
 
@@ -155,8 +174,7 @@ class Pdag:
         return self.index(v) in self._nb[self.index(u)]
 
     def adjacent(self, u: str, v: str) -> bool:
-        i, j = self.index(u), self.index(v)
-        return j in self._ch[i] or i in self._ch[j] or j in self._nb[i]
+        return self._adj(self.index(u), self.index(v))
 
     def parents_of(self, v: str) -> frozenset[str]:
         return frozenset(self.vertices[i] for i in self._pa[self.index(v)])
@@ -190,54 +208,39 @@ class Mpdag(Pdag):
     """Pdag that is closed under the orientation rules R1-R4.
 
     Construction verifies closure and raises :class:`GraphValidationError`
-    naming the violated rule otherwise.  Internal callers that produce
-    provably closed output skip the re-check via ``_trusted``.
+    naming the violated rule otherwise.
     """
 
-    def __init__(self, vertices, directed=(), undirected=(), *, _trusted: bool = False):
+    def __init__(self, vertices, directed=(), undirected=()):
         super().__init__(vertices, directed, undirected)
-        if not _trusted:
-            viol = rule_violations(self)
-            if viol:
-                rule, vs = viol[0]
-                raise GraphValidationError(
-                    f"graph is not rule-closed: {rule} applies at {vs}"
-                    + (f" (+{len(viol) - 1} more)" if len(viol) > 1 else "")
-                )
+        _check_closed(self)
 
 
 # -- orientation rules -------------------------------------------------------
 
 
-class _MutableGraph:
-    """Adjacency scratch space for the orientation-rule fixpoint."""
-
-    __slots__ = ("pa", "ch", "nb")
-
-    def __init__(self, g: Pdag):
-        self.pa = [set(s) for s in g._pa]
-        self.ch = [set(s) for s in g._ch]
-        self.nb = [set(s) for s in g._nb]
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self.pa[i] or j in self.ch[i] or j in self.nb[i]
-
-    def orient(self, i: int, j: int, queue: deque) -> None:
-        if j in self.ch[i]:
-            return
-        if j in self.pa[i]:
-            raise GraphValidationError(
-                "orientation rules conflict: edge forced in both directions "
-                f"between vertex indices {i} and {j}"
-            )
-        self.nb[i].discard(j)
-        self.nb[j].discard(i)
-        self.ch[i].add(j)
-        self.pa[j].add(i)
-        queue.append((i, j))
+def _check_closed(g: Pdag) -> None:
+    viol = rule_violations(g)
+    if viol:
+        rule, vs = viol[0]
+        raise GraphValidationError(
+            f"graph is not rule-closed: {rule} applies at {vs}"
+            + (f" (+{len(viol) - 1} more)" if len(viol) > 1 else "")
+        )
 
 
-def _close(m: _MutableGraph, queue: deque) -> None:
+def _copy(g: Pdag) -> Mpdag:
+    """An unchecked :class:`Mpdag` with copies of ``g``'s adjacency sets;
+    the labels are shared.  Callers close it in place or have checked ``g``."""
+    m = object.__new__(Mpdag)
+    m.vertices, m._idx = g.vertices, g._idx
+    m._pa = [set(s) for s in g._pa]
+    m._ch = [set(s) for s in g._ch]
+    m._nb = [set(s) for s in g._nb]
+    return m
+
+
+def _close(m: Mpdag, queue: deque) -> None:
     """Drive R1-R4 to a fixpoint.
 
     The queue holds directed edges not yet examined.  Each rule consumes one
@@ -246,70 +249,60 @@ def _close(m: _MutableGraph, queue: deque) -> None:
     ones, re-examining every popped edge in each directed role of each rule
     reaches the fixpoint.
     """
+    pa, ch, nb = m._pa, m._ch, m._nb
+    adj, orient = m._adj, m._orient
     while queue:
         a, b = queue.popleft()
         # R1:  a -> b - c, a and c non-adjacent         =>  b -> c
-        for c in list(m.nb[b]):
-            if c != a and not m.adjacent(a, c):
-                m.orient(b, c, queue)
+        for c in list(nb[b]):
+            if c != a and not adj(a, c):
+                orient(b, c, queue)
         # R2 with (a, b) as the first edge of a -> b -> c, a - c  =>  a -> c
-        for c in list(m.ch[b]):
-            if c in m.nb[a]:
-                m.orient(a, c, queue)
+        for c in list(ch[b]):
+            if c in nb[a]:
+                orient(a, c, queue)
         # R2 with (a, b) as the second edge: x -> a -> b, x - b   =>  x -> b
-        for x in list(m.pa[a]):
-            if b in m.nb[x]:
-                m.orient(x, b, queue)
+        for x in list(pa[a]):
+            if b in nb[x]:
+                orient(x, b, queue)
         # R3:  a -> b <- c, d - a, d - b, d - c, a and c non-adjacent  =>  d -> b
-        for d in list(m.nb[b]):
-            if d == a or d not in m.nb[a]:
+        for d in list(nb[b]):
+            if d == a or d not in nb[a]:
                 continue
             if any(
-                c != a and c in m.nb[d] and not m.adjacent(a, c)
-                for c in m.pa[b]
+                c != a and c in nb[d] and not adj(a, c)
+                for c in pa[b]
             ):
-                m.orient(d, b, queue)
+                orient(d, b, queue)
         # R4 with (a, b) as the first edge of a -> b -> c,
         #     d - a, d - b, d - c, a and c non-adjacent  =>  d -> c
-        for c in list(m.ch[b]):
-            if c == a or m.adjacent(a, c):
+        for c in list(ch[b]):
+            if c == a or adj(a, c):
                 continue
-            for d in list(m.nb[c]):
-                if d in m.nb[a] and d in m.nb[b]:
-                    m.orient(d, c, queue)
+            for d in list(nb[c]):
+                if d in nb[a] and d in nb[b]:
+                    orient(d, c, queue)
         # R4 with (a, b) as the second edge: x -> a -> b
-        for x in list(m.pa[a]):
-            if x == b or m.adjacent(x, b):
+        for x in list(pa[a]):
+            if x == b or adj(x, b):
                 continue
-            for d in list(m.nb[b]):
-                if d in m.nb[x] and d in m.nb[a]:
-                    m.orient(d, b, queue)
-
-
-def _freeze(vertices: tuple[str, ...], m: _MutableGraph) -> Mpdag:
-    directed = [
-        (vertices[i], vertices[j]) for i in range(len(vertices)) for j in m.ch[i]
-    ]
-    undirected = [
-        (vertices[i], vertices[j])
-        for i in range(len(vertices))
-        for j in m.nb[i]
-        if i < j
-    ]
-    return Mpdag(vertices, directed, undirected, _trusted=True)
+            for d in list(nb[b]):
+                if d in nb[x] and d in nb[a]:
+                    orient(d, b, queue)
 
 
 def meek_closure(g: Pdag) -> Mpdag:
-    """Close ``g`` under R1-R4 and return the result.
+    """Close ``g`` under R1-R4 and return the result; ``g`` is unchanged.
 
     Orientation rules only direct existing undirected edges, so the skeleton
-    is unchanged and (for any input whose orientations are consistent) the
-    output stays acyclic; acyclicity is re-checked by construction.
+    is unchanged.  A closure that creates a directed cycle (possible only
+    when no DAG extends ``g``) raises :class:`GraphValidationError`.
     """
-    m = _MutableGraph(g)
-    queue = deque((i, j) for i in range(g.n_vertices) for j in m.ch[i])
+    m = _copy(g)
+    queue = deque((i, j) for i in range(g.n_vertices) for j in m._ch[i])
     _close(m, queue)
-    return _freeze(g.vertices, m)
+    m._check_acyclic()
+    return m
 
 
 def rule_violations(g: Pdag) -> list[tuple[str, tuple[str, ...]]]:
@@ -322,7 +315,7 @@ def rule_violations(g: Pdag) -> list[tuple[str, tuple[str, ...]]]:
     out = []
     lab = g.vertices
     p = g.n_vertices
-    adj = lambda i, j: j in g._ch[i] or i in g._ch[j] or j in g._nb[i]
+    adj = g._adj
     for b in range(p):
         for a in g._pa[b]:
             # R1: a -> b - c, a/c non-adjacent
@@ -359,22 +352,22 @@ def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
     :class:`InconsistentKnowledgeError`.  The final graph is independent of
     the processing order.
     """
-    g = _as_mpdag(g)
-    m = _MutableGraph(g)
+    m = _copy(_as_mpdag(g))
     for x, y in knowledge:
-        i, j = g.index(x), g.index(y)
-        if j in m.ch[i]:
+        i, j = m.index(x), m.index(y)
+        if j in m._ch[i]:
             continue
-        if j in m.nb[i]:
+        if j in m._nb[i]:
             queue: deque = deque()
-            m.orient(i, j, queue)
+            m._orient(i, j, queue)
             _close(m, queue)
         else:
-            reason = "oriented against it" if j in m.pa[i] else "not adjacent"
+            reason = "oriented against it" if j in m._pa[i] else "not adjacent"
             raise InconsistentKnowledgeError(
                 f"knowledge edge {x!r} -> {y!r} cannot be embedded: {reason}"
             )
-    return _freeze(g.vertices, m)
+    m._check_acyclic()
+    return m
 
 
 def cpdag_from_dag(d: Pdag) -> Mpdag:
@@ -383,21 +376,20 @@ def cpdag_from_dag(d: Pdag) -> Mpdag:
     if not d.is_dag:
         raise GraphValidationError("input must be a DAG (no undirected edges)")
     p = d.n_vertices
-    pairs = {(min(i, j), max(i, j)) for i in range(p) for j in d._ch[i]}
-    skel = Pdag(
-        d.vertices,
-        (),
-        [(d.vertices[i], d.vertices[j]) for i, j in sorted(pairs)],
-    )
-    m = _MutableGraph(skel)
+    m = _copy(d)
+    for pa, ch, nb in zip(m._pa, m._ch, m._nb):  # the skeleton, all undirected
+        nb.update(pa, ch)
+        pa.clear()
+        ch.clear()
     queue: deque = deque()
     for b in range(p):
         for a, c in combinations(sorted(d._pa[b]), 2):
-            if not (c in d._ch[a] or a in d._ch[c] or c in d._nb[a]):
-                m.orient(a, b, queue)
-                m.orient(c, b, queue)
+            if not d._adj(a, c):
+                m._orient(a, b, queue)
+                m._orient(c, b, queue)
     _close(m, queue)
-    return _freeze(d.vertices, m)
+    m._check_acyclic()
+    return m
 
 
 # -- bucket decomposition ----------------------------------------------------
@@ -545,14 +537,17 @@ def ancestors_in_subgraph(g: Pdag, y: str, removed: Iterable[str] = ()) -> froze
 
 
 def _as_mpdag(g: Pdag) -> Mpdag:
-    """``g`` when it is already an :class:`Mpdag`, otherwise a checked copy.
+    """``g`` when it is already an :class:`Mpdag`, otherwise a copy of its
+    adjacency sets as one.
 
     The path searches below are exact only on rule-closed graphs, so a plain
-    :class:`Pdag` is converted here, which raises
-    :class:`GraphValidationError` naming the first violated rule."""
+    :class:`Pdag` first gets the rule check that :class:`Mpdag` construction
+    runs, which raises :class:`GraphValidationError` naming the first
+    violated rule."""
     if isinstance(g, Mpdag):
         return g
-    return Mpdag(g.vertices, g.directed_edges, g.undirected_edges)
+    _check_closed(g)
+    return _copy(g)
 
 
 def _unshielded_search(g: Pdag, starts, blocked=(), target: int = -1):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GraphValidationError
-from .graph import Mpdag, Pdag, graph_from_dict, graph_to_dict
+from .graph import Pdag, graph_from_dict, graph_to_dict
 from .identify import build_plan
 from .estimate import BlockRecursiveModel, effect_from_lambda
 
@@ -267,8 +267,7 @@ def true_effect_blockform(
     the population coefficients.  A DAG's buckets are singletons, so the
     coefficient blocks are just columns of gamma."""
     g = sem.graph
-    mp = Mpdag(g.vertices, g.directed_edges, (), _trusted=True)
-    plan = build_plan(mp, treatment, outcome)
+    plan = build_plan(g, treatment, outcome)
     dec = plan.buckets
     lambdas = []
     omegas = []

@@ -60,7 +60,6 @@ def chain_sem() -> LinearSem:
         vertices=("a", "m", "y"),
         directed=(("a", "m"), ("m", "y")),
         undirected=(),
-        _trusted=True,
     )
     gamma = np.zeros((3, 3))
     gamma[0, 1] = 2.0
@@ -77,7 +76,6 @@ def confounder_sem() -> LinearSem:
         vertices=("c", "a", "y"),
         directed=(("c", "a"), ("c", "y"), ("a", "y")),
         undirected=(),
-        _trusted=True,
     )
     gamma = np.zeros((3, 3))
     gamma[0, 1] = 1.0

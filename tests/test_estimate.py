@@ -430,6 +430,17 @@ def test_solve_refuses_non_positive_definite(a):
     assert exc.value.cond == float("inf")
 
 
+@pytest.mark.parametrize("n_boot", [-1, 0, 1])
+def test_bootstrap_needs_two_replicates(chain_sem, n_boot):
+    data = sample(chain_sem, 200, rng_from_seed(11))
+    g = chain_sem.graph
+    plan = build_plan(g, ("a",), "y")
+    with pytest.raises(GraphValidationError, match=f"got {n_boot}$"):
+        bootstrap_ci(data, g.vertices, plan, n_boot=n_boot)
+    est = estimate_total_effect(g, ("a",), "y", data=data, n_boot=0)
+    assert est.ci_lower is None and est.boot_acov is None
+
+
 def test_bootstrap_is_deterministic(chain_sem):
     rng = rng_from_seed(11)
     data = sample(chain_sem, 400, rng)

@@ -192,6 +192,54 @@ def test_closure_idempotent_and_monotone(rng):
         assert rule_violations(g) == []
 
 
+def test_closure_refuses_a_directed_cycle_it_creates():
+    """No DAG extends these graphs: closing them orients a -> d -> b -> c
+    after c -> a, a directed cycle, which is refused."""
+    g = Pdag(("a", "b", "c", "d"), (("c", "a"), ("a", "d")), (("b", "c"), ("b", "d")))
+    with pytest.raises(GraphValidationError, match="directed part contains a cycle"):
+        meek_closure(g)
+    square = Mpdag(("a", "b", "c", "d"), (), (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")))
+    with pytest.raises(GraphValidationError, match="directed part contains a cycle"):
+        construct_mpdag(square, [("c", "a")])
+
+
+def test_producers_leave_their_input_alone(rng):
+    """The producers close a copy: the input's edges and adjacency sets are
+    unchanged, and the result shares no adjacency set with the input."""
+    changed = 0
+    for _ in range(10):
+        dag = random_dag(7, 2.5, rng)
+        cpdag = cpdag_from_dag(dag)
+        dag_dir = set(dag.directed_edges)
+        known = [
+            (u, v) if (u, v) in dag_dir else (v, u)
+            for u, v in cpdag.undirected_edges
+            if rng.random() < 0.5
+        ]
+        oriented = {frozenset(e) for e in known}
+        unclosed = Pdag(
+            dag.vertices,
+            list(cpdag.directed_edges) + known,
+            [e for e in cpdag.undirected_edges if frozenset(e) not in oriented],
+        )
+        plain = Pdag(cpdag.vertices, cpdag.directed_edges, cpdag.undirected_edges)
+        for make, g in (
+            (meek_closure, unclosed),
+            (cpdag_from_dag, dag),
+            (lambda g: construct_mpdag(g, known), cpdag),
+            (lambda g: construct_mpdag(g, known), plain),
+        ):
+            before = [[set(s) for s in sets] for sets in (g._pa, g._ch, g._nb)]
+            edges = (g.directed_edges, g.undirected_edges)
+            out = make(g)
+            assert [g._pa, g._ch, g._nb] == before
+            assert (g.directed_edges, g.undirected_edges) == edges
+            ids = {id(s) for sets in (g._pa, g._ch, g._nb) for s in sets}
+            assert not ids & {id(s) for sets in (out._pa, out._ch, out._nb) for s in sets}
+            changed += out != g
+    assert changed >= 10
+
+
 def test_rule_violations_reports_pattern():
     g = Pdag(("a", "b", "c"), (("a", "b"),), (("b", "c"),))
     viol = rule_violations(g)

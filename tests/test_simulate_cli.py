@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,48 @@ def test_cli_estimate_rejects_bad_values(capsys, tmp_path, chain_graph_file):
         "--treat", "a", "--outcome", "y",
     )
     assert code == 3 and "decimal" in err
+
+
+def test_cli_estimate_skips_blank_lines(capsys, tmp_path, chain_graph_file, chain_data_file):
+    data_path, _ = chain_data_file
+    path = tmp_path / "blank.csv"
+    with open(data_path) as fh:
+        path.write_text("\n" + fh.read() + "\n")
+    runs = [
+        _run(capsys, "estimate", "--graph", chain_graph_file, "--data", d,
+             "--treat", "a", "--outcome", "y")
+        for d in (data_path, str(path))
+    ]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "body, row, fields",
+    [("1,2,3\n4,5\n6,7,8\n", 2, 2), ("1,2\n3,4\n", 1, 2), ("1,2,3,4\n5,6,7,8\n", 1, 4)],
+)
+def test_cli_estimate_names_a_ragged_row(capsys, tmp_path, chain_graph_file, body, row, fields):
+    path = tmp_path / "ragged.csv"
+    path.write_text("a,m,y\n" + body)
+    code, _, err = _run(
+        capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
+        "--treat", "a", "--outcome", "y",
+    )
+    assert code == 3 and f"data row {row} has {fields} fields, the header has 3" in err
+
+
+@pytest.mark.parametrize("n_boot", ["-1", "1"])
+def test_cli_estimate_rejects_too_few_replicates(
+    capsys, chain_graph_file, chain_data_file, n_boot
+):
+    data_path, _ = chain_data_file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            capsys, "estimate", "--graph", chain_graph_file, "--data", data_path,
+            "--treat", "a", "--outcome", "y", "--bootstrap", n_boot,
+        )
+    assert code == 3 and out == ""
+    assert err == f"bad input: need at least 2 bootstrap replicates, got {n_boot}\n"
 
 
 def test_cli_estimate_too_few_rows(capsys, tmp_path, chain_graph_file):
