@@ -39,6 +39,7 @@ from .graph import (
 )
 from .identify import IdentificationPlan, build_plan, is_identified
 from .estimate import (
+    COND_LIMIT,
     BlockRecursiveModel,
     EffectEstimate,
     SampleCovariance,
@@ -69,7 +70,7 @@ from .sem import (
     true_effect_blockform,
     true_effect_pathsum,
 )
-from .simulate import SimReport, run_simulation
+from .simulate import CSV_COLUMNS, REPORT_HEADER, SimReport, run_simulation
 
 __version__ = "0.1.0"
 
@@ -100,6 +101,7 @@ __all__ = [
     "IdentificationPlan",
     "is_identified",
     "build_plan",
+    "COND_LIMIT",
     "SampleCovariance",
     "BlockRecursiveModel",
     "EffectEstimate",
@@ -127,6 +129,8 @@ __all__ = [
     "sem_from_dict",
     "save_sem",
     "load_sem",
+    "REPORT_HEADER",
+    "CSV_COLUMNS",
     "SimReport",
     "run_simulation",
 ]

@@ -20,7 +20,7 @@ divide by n (see :attr:`EffectEstimate.se`) for finite-sample use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -94,15 +94,9 @@ class SampleCovariance:
             ) from None
 
 
-def sample_covariance(
-    data: np.ndarray, vertex_order: Sequence[str], center: bool = False
-) -> SampleCovariance:
-    """Second-moment matrix ``X'X / n`` of the data columns.
-
-    Data are taken as already mean-zero, matching the population
-    convention; ``center=True`` subtracts column means first.  Requires
-    ``n > p`` and finite values.
-    """
+def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
+    """``data`` as a float matrix with one finite column per label and more
+    rows than columns, else :class:`DegenerateSampleError`."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise DegenerateSampleError("data must be a 2d array")
@@ -118,20 +112,34 @@ def sample_covariance(
             f"need more rows than columns for a positive definite covariance "
             f"(n={n}, p={p})"
         )
+    return x
+
+
+def sample_covariance(
+    data: np.ndarray, vertex_order: Sequence[str], center: bool = False
+) -> SampleCovariance:
+    """Second-moment matrix ``X'X / n`` of the data columns.
+
+    Data are taken as already mean-zero, matching the population
+    convention; ``center=True`` subtracts column means first.  Requires
+    ``n > p`` and finite values.
+    """
+    x = _data_matrix(data, vertex_order)
     if center:
         x = x - x.mean(axis=0)
-    s = x.T @ x / n
-    return SampleCovariance((s + s.T) / 2.0, tuple(vertex_order), n=n)
+    s = x.T @ x / len(x)
+    return SampleCovariance((s + s.T) / 2.0, tuple(vertex_order), n=len(x))
 
 
-def _solve_spd_stack(a: np.ndarray, b: np.ndarray):
+def _solve_spd_stack(a: np.ndarray, b: np.ndarray, what: str | None = None):
     """Solve the stacked systems ``a[i] x = b[i]`` for symmetric ``a`` of
     shape (B, p, p) and ``b`` of shape (B, p, m).
 
     A system is solved only when ``eigvalsh`` finds ``a[i]`` positive
     definite with condition number at most :data:`COND_LIMIT`.  Returns
     ``(x, ok, cond)``: ``x`` is zero where ``ok`` is false, and ``cond`` is
-    each condition number (inf when not positive definite).
+    each condition number (inf when not positive definite).  Given ``what``,
+    a refused system raises :class:`IllConditionedError` naming it instead.
     """
     if a.shape[-1] == 0:
         return np.zeros(b.shape), np.ones(len(a), dtype=bool), np.ones(len(a))
@@ -139,6 +147,11 @@ def _solve_spd_stack(a: np.ndarray, b: np.ndarray):
     pd = w[:, 0] > 0
     cond = np.where(pd, w[:, -1] / np.where(pd, w[:, 0], 1.0), np.inf)
     ok = cond <= COND_LIMIT
+    if what is not None and not ok.all():
+        bad = float(cond[~ok][0])
+        reason = ("matrix is not positive definite" if bad == float("inf") else
+                  f"condition number {bad:.3e} exceeds {COND_LIMIT:.0e}")
+        raise IllConditionedError(f"{what}: {reason}", cond=bad)
     x = np.zeros(b.shape)
     x[ok] = np.linalg.solve(a[ok], b[ok])
     return x, ok, cond
@@ -148,17 +161,7 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     """Solve ``a x = b`` for one symmetric positive definite ``a`` by
     :func:`_solve_spd_stack`, raising :class:`IllConditionedError` for a
     system it refuses."""
-    x, ok, cond = _solve_spd_stack(a[None], (b[:, None] if b.ndim == 1 else b)[None])
-    cond = float(cond[0])
-    if not ok[0]:
-        if cond == float("inf"):
-            raise IllConditionedError(
-                f"{what}: matrix is not positive definite", cond=cond
-            )
-        raise IllConditionedError(
-            f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            cond=cond,
-        )
+    x, _, _ = _solve_spd_stack(a[None], (b[:, None] if b.ndim == 1 else b)[None], what)
     return x[0].reshape(b.shape)
 
 
@@ -166,11 +169,11 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 class BlockRecursiveModel:
     """Per-bucket regression blocks (Lambda_k, Omega_k).
 
-    ``mode="g"`` regresses each bucket on its external parents in the
-    graph; ``mode="gbar"`` regresses on all earlier buckets, i.e. on the
-    saturated graph's parent sets.  ``lambda_blocks[k]`` has one row per
-    parent and one column per bucket member; parentless buckets get a
-    0-row block and ``omega_blocks[k]`` equal to the bucket's marginal
+    Bucket k is regressed on ``buckets.external_parents[k]``: its parents in
+    the graph for :func:`g_regression`, all earlier buckets (the saturated
+    graph's parents) for :func:`gbar_regression`.  ``lambda_blocks[k]`` has
+    one row per parent and one column per bucket member; parentless buckets
+    get a 0-row block and ``omega_blocks[k]`` equal to the bucket's marginal
     covariance.
 
     A model fitted for an :class:`IdentificationPlan` holds the blocks of
@@ -180,48 +183,71 @@ class BlockRecursiveModel:
     """
 
     buckets: BucketDecomposition
-    mode: str
     lambda_blocks: tuple[np.ndarray | None, ...]
     omega_blocks: tuple[np.ndarray | None, ...]
 
     def parents(self, k: int) -> tuple[str, ...]:
-        if self.mode == "g":
-            return self.buckets.external_parents[k]
-        return self.buckets.prefix(k)
+        return self.buckets.external_parents[k]
+
+
+def _fit_stack(
+    stack: np.ndarray, buckets: BucketDecomposition, fitted, local: dict, strict: bool
+):
+    """Regress each fitted bucket on its external parents in every
+    second-moment matrix of ``stack`` (B, c, c); ``local`` maps a label to
+    its column.
+
+    Each bucket's test and solve run once on the whole stack through
+    :func:`_solve_spd_stack`.  Returns ``(lambdas, omegas, ok)``: the blocks,
+    with the stack axis, keyed by fitted bucket index, and whether every
+    fitted bucket accepted each matrix.  ``strict`` raises
+    :class:`IllConditionedError` for the first bucket refusing any matrix.
+    """
+    lambdas, omegas = {}, {}
+    ok = np.ones(len(stack), dtype=bool)
+    for k in fitted:
+        pa, bucket = buckets.external_parents[k], buckets.buckets[k]
+        pi = np.array([local[u] for u in pa], dtype=int)
+        bi = np.array([local[v] for v in bucket], dtype=int)
+        spb = stack[:, pi[:, None], bi]
+        what = f"regression of bucket {bucket} on {pa}" if strict else None
+        lam, bucket_ok, _ = _solve_spd_stack(stack[:, pi[:, None], pi], spb, what)
+        ok &= bucket_ok
+        omega = stack[:, bi[:, None], bi]
+        if pa:  # a parentless bucket keeps its marginal block as it is
+            omega = omega - spb.transpose(0, 2, 1) @ lam
+            omega = (omega + omega.transpose(0, 2, 1)) / 2.0
+        lambdas[k], omegas[k] = lam, omega
+    return lambdas, omegas, ok
 
 
 def _block_regression(
-    cov: SampleCovariance, target: BucketDecomposition | IdentificationPlan, mode: str
+    cov: SampleCovariance, buckets: BucketDecomposition, fitted
 ) -> BlockRecursiveModel:
-    if isinstance(target, IdentificationPlan):
-        buckets, fitted = target.buckets, target.bucket_order
-    else:
-        buckets, fitted = target, range(len(target))
+    """:func:`_fit_stack` on ``cov`` alone."""
     if set(cov.vertex_order) != set(buckets.vertex_order):
         raise GraphValidationError(
             "covariance and bucket decomposition cover different vertex sets"
         )
-    s = cov.matrix
-    lambdas: list[np.ndarray | None] = [None] * len(buckets)
-    omegas: list[np.ndarray | None] = [None] * len(buckets)
-    for k in fitted:
-        bucket = buckets.buckets[k]
-        pa = buckets.external_parents[k] if mode == "g" else buckets.prefix(k)
-        bi = cov.positions(bucket)
-        sb = s[np.ix_(bi, bi)]
-        if not pa:
-            lam = np.zeros((0, len(bucket)))
-            omega = sb
-        else:
-            pi = cov.positions(pa)
-            spp = s[np.ix_(pi, pi)]
-            spb = s[np.ix_(pi, bi)]
-            lam = _solve_spd(spp, spb, f"regression of bucket {bucket} on {pa}")
-            omega = sb - spb.T @ lam
-            omega = (omega + omega.T) / 2.0
-        lambdas[k] = lam
-        omegas[k] = omega
-    return BlockRecursiveModel(buckets, mode, tuple(lambdas), tuple(omegas))
+    local = {v: i for i, v in enumerate(cov.vertex_order)}
+    lambdas, omegas, _ = _fit_stack(cov.matrix[None], buckets, fitted, local, strict=True)
+    return BlockRecursiveModel(
+        buckets,
+        tuple(lambdas[k][0] if k in lambdas else None for k in range(len(buckets))),
+        tuple(omegas[k][0] if k in omegas else None for k in range(len(buckets))),
+    )
+
+
+def _fitted(target: BucketDecomposition | IdentificationPlan):
+    """The decomposition and the indices of the buckets to fit."""
+    if isinstance(target, IdentificationPlan):
+        return target.buckets, target.bucket_order
+    return target, range(len(target))
+
+
+def _saturated(buckets: BucketDecomposition) -> BucketDecomposition:
+    """The same buckets, each with all earlier ones as external parents."""
+    return replace(buckets, external_parents=tuple(map(buckets.prefix, range(len(buckets)))))
 
 
 def g_regression(
@@ -233,15 +259,17 @@ def g_regression(
     Given a :class:`BucketDecomposition` every bucket is fitted; given an
     :class:`IdentificationPlan` only the plan's buckets are, so a bucket
     the effect does not read can neither cost time nor refuse the fit."""
-    return _block_regression(cov, buckets, "g")
+    return _block_regression(cov, *_fitted(buckets))
 
 
 def gbar_regression(
     cov: SampleCovariance, buckets: BucketDecomposition | IdentificationPlan
 ) -> BlockRecursiveModel:
-    """Same as :func:`g_regression` but regressing every bucket on the full
-    union of earlier buckets (the saturated parent sets)."""
-    return _block_regression(cov, buckets, "gbar")
+    """:func:`g_regression` on the saturated buckets: every bucket regressed
+    on the union of the earlier buckets.  The model's ``buckets`` carry
+    those prefixes as external parents."""
+    dec, fitted = _fitted(buckets)
+    return _block_regression(cov, _saturated(dec), fitted)
 
 
 def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
@@ -285,19 +313,18 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
     return s
 
 
-def _effect_matrices(plan: IdentificationPlan, blocks, parents):
+def _effect_matrices(plan: IdentificationPlan, blocks):
     """Lambda_{A,D}, (I - Lambda_{D,D})^{-1} and index bookkeeping from the
-    coefficient blocks of the plan's buckets (``blocks`` and ``parents``
-    aligned with ``plan.bucket_order``).  Blocks may carry leading stack
-    axes; the outputs then carry the same ones."""
-    a_list = plan.treatment
-    d_list = plan.d_set
-    a_pos = {v: i for i, v in enumerate(a_list)}
-    d_pos = {v: i for i, v in enumerate(d_list)}
+    coefficient blocks of the plan's buckets (aligned with
+    ``plan.bucket_order``).  Blocks may carry leading stack axes; the
+    outputs then carry the same ones."""
+    a_pos = {v: i for i, v in enumerate(plan.treatment)}
+    d_pos = {v: i for i, v in enumerate(plan.d_set)}
     stack = blocks[0].shape[:-2]
-    lam_ad = np.zeros(stack + (len(a_list), len(d_list)))
-    lam_dd = np.zeros(stack + (len(d_list), len(d_list)))
-    for k, dk, lam, pa in zip(plan.bucket_order, plan.d_buckets, blocks, parents):
+    lam_ad = np.zeros(stack + (len(a_pos), len(d_pos)))
+    lam_dd = np.zeros(stack + (len(d_pos), len(d_pos)))
+    for k, dk, lam, pa in zip(plan.bucket_order, plan.d_buckets, blocks,
+                              plan.parents_per_bucket):
         cols = {v: i for i, v in enumerate(plan.buckets.buckets[k])}
         for v in dk:
             j = d_pos[v]
@@ -310,7 +337,7 @@ def _effect_matrices(plan: IdentificationPlan, blocks, parents):
                 # parents outside A and D carry no weight in the effect
     # the right-hand side carries the stack axes too: numpy < 2 would read a
     # 2-d one beside a 3-d left-hand side as a stack of vectors
-    eye = np.eye(len(d_list))
+    eye = np.eye(len(d_pos))
     m = np.linalg.solve(eye - lam_dd, np.broadcast_to(eye, lam_dd.shape))
     return lam_ad, m, a_pos, d_pos
 
@@ -324,7 +351,7 @@ def _assemble_effect(model: BlockRecursiveModel, plan: IdentificationPlan):
     blocks = [model.lambda_blocks[k] for k in plan.bucket_order]
     if any(lam is None for lam in blocks):
         raise GraphValidationError("model does not hold every bucket of the plan")
-    return _effect_matrices(plan, blocks, [model.parents(k) for k in plan.bucket_order])
+    return _effect_matrices(plan, blocks)
 
 
 def effect_from_lambda(model: BlockRecursiveModel, plan: IdentificationPlan) -> np.ndarray:
@@ -371,6 +398,25 @@ def effect_gradients(
     return grads
 
 
+def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovariance,
+             size: int) -> np.ndarray:
+    """The Kronecker quadratic form of :func:`delta_method_acov`, symmetrized,
+    for gradient blocks ``grads[k]`` of shape (size, |Pa(B_k)|, |B_k|) and
+    residual blocks ``omegas[k]``."""
+    out = np.zeros((size, size))
+    for k, h in grads.items():
+        pa = plan.buckets.external_parents[k]
+        if not pa or not h.any():
+            continue
+        pi = cov.positions(pa)
+        spp = cov.matrix[np.ix_(pi, pi)]
+        flat = h.transpose(1, 0, 2).reshape(len(pa), -1)
+        sol = _solve_spd(spp, flat, f"parent covariance of bucket {k}")
+        sol = sol.reshape(len(pa), size, h.shape[2]).transpose(1, 0, 2)
+        out += np.einsum("tib,uic,bc->tu", h, sol, omegas[k])
+    return (out + out.T) / 2.0
+
+
 def delta_method_acov(
     model: BlockRecursiveModel, plan: IdentificationPlan, cov: SampleCovariance
 ) -> np.ndarray:
@@ -379,27 +425,13 @@ def delta_method_acov(
     The coefficient blocks of distinct buckets are asymptotically
     independent, and within bucket k the block has covariance
     Omega_k (x) (Sigma_{Pa(B_k)})^{-1}; the result contracts the gradient
-    blocks against that Kronecker form:
+    blocks H of :func:`effect_gradients` against that Kronecker form:
 
         acov[t, u] = sum_k  sum_{b, c}  Omega_k[b, c] *
                      (H_t' Sigma_{Pa}^{-1} H_u)[b, c].
     """
-    if model.mode != "g":
-        raise GraphValidationError("delta_method_acov expects a mode-'g' model")
     grads = effect_gradients(model, plan)
-    n_a = len(plan.treatment)
-    acov = np.zeros((n_a, n_a))
-    for k, h in grads.items():
-        parents = model.parents(k)
-        if not parents or not h.any():
-            continue
-        pi = cov.positions(parents)
-        spp = cov.matrix[np.ix_(pi, pi)]
-        flat = h.transpose(1, 0, 2).reshape(len(parents), -1)
-        sol = _solve_spd(spp, flat, f"parent covariance of bucket {k}")
-        sol = sol.reshape(len(parents), n_a, h.shape[2]).transpose(1, 0, 2)
-        acov += np.einsum("tib,uic,bc->tu", h, sol, model.omega_blocks[k])
-    return (acov + acov.T) / 2.0
+    return _sandwich(grads, model.omega_blocks, plan, cov, len(plan.treatment))
 
 
 def efficiency_bound(
@@ -414,28 +446,20 @@ def efficiency_bound(
 
         sum_k  h_k' [ Omega_k (x) (Sigma_{Pa(B_k)})^{-1} ] h_k ,
 
-    with gradients h_k taken from the mode-'g' model and Omega_k from the
-    mode-'gbar' model (the residual blocks of the saturated
-    parameterization).  Evaluated at the truth this equals
+    with gradients h_k taken from the :func:`g_regression` model and
+    Omega_k from the :func:`gbar_regression` model (the residual blocks of
+    the saturated parameterization).  Evaluated at the truth this equals
     ``w' delta_method_acov(...) w``, which is how the bound is attained.
     """
-    if model_g.mode != "g" or model_gbar.mode != "gbar":
-        raise GraphValidationError("efficiency_bound expects one model per mode")
+    if model_gbar.buckets != _saturated(plan.buckets):
+        raise GraphValidationError(
+            "efficiency_bound expects a gbar_regression model of the plan's "
+            "buckets as its second model"
+        )
     w = np.asarray(w, dtype=float)
-    grads = effect_gradients(model_g, plan)
-    total = 0.0
-    for k, h in grads.items():
-        parents = model_g.parents(k)
-        if not parents:
-            continue
-        hw = np.einsum("t,tib->ib", w, h)
-        if not hw.any():
-            continue
-        pi = cov.positions(parents)
-        spp = cov.matrix[np.ix_(pi, pi)]
-        sol = _solve_spd(spp, hw, f"parent covariance of bucket {k}")
-        total += float(np.einsum("ib,ic,bc->", hw, sol, model_gbar.omega_blocks[k]))
-    return total
+    grads = {k: np.einsum("t,tib->ib", w, h)[None]
+             for k, h in effect_gradients(model_g, plan).items()}
+    return float(_sandwich(grads, model_gbar.omega_blocks, plan, cov, 1)[0, 0])
 
 
 @dataclass
@@ -537,30 +561,6 @@ def _adjustment_from_cov(
     )
 
 
-def _stacked_effects(stack: np.ndarray, plan: IdentificationPlan, local: dict):
-    """The plan's regressions on a stack of second-moment matrices.
-
-    ``stack`` has shape (B, c, c) over the plan's c columns, ``local`` maps
-    a label to its column.  Each bucket's regression runs once on the whole
-    stack through :func:`_solve_spd_stack`, which also makes the test and
-    the solve of the one-matrix fit; a matrix refused in any bucket is
-    dropped.  Returns the tau of each matrix that passes every bucket, in
-    stack order.
-    """
-    ok = np.ones(len(stack), dtype=bool)
-    blocks = []
-    for k, pa in zip(plan.bucket_order, plan.parents_per_bucket):
-        pi = np.array([local[u] for u in pa], dtype=int)
-        bi = np.array([local[v] for v in plan.buckets.buckets[k]], dtype=int)
-        spp, spb = stack[:, pi[:, None], pi], stack[:, pi[:, None], bi]
-        lam, bucket_ok, _ = _solve_spd_stack(spp, spb)
-        ok &= bucket_ok
-        blocks.append(lam)
-    blocks = [lam[ok] for lam in blocks]
-    lam_ad, m, _, d_pos = _effect_matrices(plan, blocks, plan.parents_per_bucket)
-    return (lam_ad @ m[:, :, d_pos[plan.outcome], None])[:, :, 0]
-
-
 def bootstrap_ci(
     data: np.ndarray,
     columns: Sequence[str],
@@ -587,13 +587,14 @@ def bootstrap_ci(
 
     The replicates are fitted together: each one's covariance over the
     plan's columns goes into a stack, and every plan bucket's test and
-    solve runs once per stack (:func:`_stacked_effects`).  Results equal
-    those of fitting one replicate at a time.
+    solve runs once per stack (:func:`_fit_stack`, as in the one-matrix
+    fit).  Results equal those of fitting one replicate at a time.
 
     Returns ``(lower, upper, boot_acov, n_rejected)`` where ``boot_acov``
     is n times the covariance of the replicate estimates (the bootstrap
     counterpart of the delta-method acov).  ``n_boot`` below 2 raises
-    :class:`GraphValidationError`: one replicate has no spread.
+    :class:`GraphValidationError`: one replicate has no spread.  Data that
+    :func:`sample_covariance` refuses are refused before any draw.
     """
     if n_boot < 2:
         raise GraphValidationError(f"need at least 2 bootstrap replicates, got {n_boot}")
@@ -601,7 +602,7 @@ def bootstrap_ci(
         raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
     if set(columns) != set(plan.buckets.vertex_order):
         raise GraphValidationError("data columns and plan cover different vertex sets")
-    x = np.asarray(data, dtype=float)
+    x = _data_matrix(data, columns)
     n = x.shape[0]
     labels = list(dict.fromkeys(
         v for k, pa in zip(plan.bucket_order, plan.parents_per_bucket)
@@ -632,7 +633,9 @@ def bootstrap_ci(
             stack[r] = s[np.ix_(sub, sub)]
             kept[r] = True
         stream += need
-        boot = _stacked_effects(stack[kept], plan, local)
+        lambdas, _, ok = _fit_stack(stack[kept], plan.buckets, plan.bucket_order, local, False)
+        lam_ad, m, _, d_pos = _effect_matrices(plan, [lambdas[k][ok] for k in plan.bucket_order])
+        boot = (lam_ad @ m[:, :, d_pos[plan.outcome], None])[:, :, 0]
         taus[got:got + len(boot)] = boot
         got += len(boot)
         # a batch with a rejection leaves replicates to draw, so only the
@@ -692,12 +695,8 @@ def estimate_total_effect(
     if n_boot:
         if data is None:
             raise GraphValidationError("bootstrap intervals need raw data, not cov=")
-        lower, upper, boot_acov, rej = bootstrap_ci(
+        est.ci_level = level
+        est.ci_lower, est.ci_upper, est.boot_acov, est.boot_rejected = bootstrap_ci(
             data, columns, plan, n_boot=n_boot, level=level, seed=seed, center=center,
         )
-        est.ci_level = level
-        est.ci_lower = lower
-        est.ci_upper = upper
-        est.boot_acov = boot_acov
-        est.boot_rejected = rej
     return est

@@ -308,29 +308,29 @@ def meek_closure(g: Pdag) -> Mpdag:
 def rule_violations(g: Pdag) -> list[tuple[str, tuple[str, ...]]]:
     """All places where an orientation rule fires but its conclusion is absent.
 
-    Returns ``(rule_name, vertex_labels)`` tuples; empty when ``g`` is closed.
-    Used by validation and by the ``graph validate`` command to report which
-    rule a non-maximal graph violates.
+    Returns ``(rule_name, vertex_labels)`` tuples ordered by the vertices'
+    indices, so the same graph gives the same list however its edges were
+    listed; empty when ``g`` is closed.  Used by validation and by the
+    ``graph validate`` command to report which rule a non-maximal graph
+    violates.
     """
     out = []
-    lab = g.vertices
-    p = g.n_vertices
     adj = g._adj
-    for b in range(p):
+    for b in range(g.n_vertices):
         for a in g._pa[b]:
             # R1: a -> b - c, a/c non-adjacent
             for c in g._nb[b]:
                 if c != a and not adj(a, c):
-                    out.append(("R1", (lab[a], lab[b], lab[c])))
+                    out.append(((a, b, c), "R1"))
             # R2: a -> b -> c, a - c
             for c in g._ch[b]:
                 if c in g._nb[a]:
-                    out.append(("R2", (lab[a], lab[b], lab[c])))
+                    out.append(((a, b, c), "R2"))
         # R3: a -> b <- c, d - a, d - b, d - c, a/c non-adjacent
         for d in g._nb[b]:
             for a, c in combinations(sorted(g._pa[b] & g._nb[d]), 2):
                 if not adj(a, c):
-                    out.append(("R3", (lab[a], lab[b], lab[c], lab[d])))
+                    out.append(((a, b, c, d), "R3"))
         # R4: a -> b -> c, d - a, d - b, d - c, a/c non-adjacent
         for a in g._pa[b]:
             for c in g._ch[b]:
@@ -338,8 +338,12 @@ def rule_violations(g: Pdag) -> list[tuple[str, tuple[str, ...]]]:
                     continue
                 for d in g._nb[c]:
                     if d in g._nb[a] and d in g._nb[b]:
-                        out.append(("R4", (lab[a], lab[b], lab[c], lab[d])))
-    return out
+                        out.append(((a, b, c, d), "R4"))
+    if not out:
+        return out
+    out.sort()  # the sets above iterate in an order that depends on edge insertion
+    lab = g.vertices
+    return [(rule, tuple(lab[i] for i in vs)) for vs, rule in out]
 
 
 def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
@@ -352,7 +356,7 @@ def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
     :class:`InconsistentKnowledgeError`.  The final graph is independent of
     the processing order.
     """
-    m = _copy(_as_mpdag(g))
+    m = _copy(_rule_checked(g))
     for x, y in knowledge:
         i, j = m.index(x), m.index(y)
         if j in m._ch[i]:
@@ -536,18 +540,17 @@ def ancestors_in_subgraph(g: Pdag, y: str, removed: Iterable[str] = ()) -> froze
     return frozenset(g.vertices[i] for i in seen)
 
 
-def _as_mpdag(g: Pdag) -> Mpdag:
-    """``g`` when it is already an :class:`Mpdag`, otherwise a copy of its
-    adjacency sets as one.
+def _rule_checked(g: Pdag) -> Pdag:
+    """``g`` itself, once it is known to be rule-closed.
 
-    The path searches below are exact only on rule-closed graphs, so a plain
-    :class:`Pdag` first gets the rule check that :class:`Mpdag` construction
-    runs, which raises :class:`GraphValidationError` naming the first
+    The path searches below are exact only on rule-closed graphs.  An
+    :class:`Mpdag` was checked at construction, and a DAG has no undirected
+    edge for a rule to orient; any other plain :class:`Pdag` gets the rule
+    check here, which raises :class:`GraphValidationError` naming the first
     violated rule."""
-    if isinstance(g, Mpdag):
-        return g
-    _check_closed(g)
-    return _copy(g)
+    if not isinstance(g, Mpdag) and not g.is_dag:
+        _check_closed(g)
+    return g
 
 
 def _unshielded_search(g: Pdag, starts, blocked=(), target: int = -1):
@@ -611,7 +614,7 @@ def possible_descendants(g: Pdag, sources: Iterable[str]) -> frozenset[str]:
     A plain :class:`Pdag` is checked for rule closure first and raises
     :class:`GraphValidationError` when it is not closed.
     """
-    g = _as_mpdag(g)
+    g = _rule_checked(g)
     parent, _ = _unshielded_search(g, [g.index(s) for s in sources])
     return frozenset(g.vertices[v] for _, v in parent)
 
@@ -659,7 +662,7 @@ def proper_undirected_start_path(
     path exists; the returned path is the witness.  One breadth-first
     search per treatment vertex, O(sum of squared degrees) each.
     """
-    g = _as_mpdag(g)
+    g = _rule_checked(g)
     a_idx = [g.index(v) for v in treatment]
     t = g.index(outcome)
     if t in a_idx:

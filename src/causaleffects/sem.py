@@ -277,7 +277,7 @@ def true_effect_blockform(
         pa = [g.index(u) for u in dec.external_parents[k]]
         lambdas.append(sem.gamma[pa, j].reshape(len(pa), 1))
         omegas.append(np.array([[sem.errors[j].variance]]))
-    model = BlockRecursiveModel(dec, "g", tuple(lambdas), tuple(omegas))
+    model = BlockRecursiveModel(dec, tuple(lambdas), tuple(omegas))
     return effect_from_lambda(model, plan)
 
 

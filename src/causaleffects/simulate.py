@@ -23,7 +23,6 @@ from .errors import CausalEffectsError, NotIdentifiedError
 from .estimate import (
     SampleCovariance,
     _adjustment_from_cov,
-    adjustment_estimate,
     effect_from_lambda,
     efficiency_bound,
     g_regression,
@@ -161,7 +160,8 @@ def run_simulation(
     identification plan on the CPDAG (while drawing the query) and uses it
     for the g-regression estimate and for the population variance ratio of
     parent adjustment over the efficiency bound; every regression fits the
-    plan's buckets only."""
+    plan's buckets only.  One sample covariance per replication serves both
+    the g-regression estimate and the adjustment baseline."""
     report = SimReport(
         params={
             "n_vertices": n_vertices,
@@ -196,10 +196,8 @@ def run_simulation(
         plan, ay_redraws = query
         treatment, outcome = plan.treatment, plan.outcome
         tau_true = true_effect_blockform(sem, treatment, outcome)
-        data = sample(sem, n, rng)
-        tau = effect_from_lambda(
-            g_regression(sample_covariance(data, cpdag.vertices), plan), plan
-        )
+        cov = sample_covariance(sample(sem, n, rng), cpdag.vertices)
+        tau = effect_from_lambda(g_regression(cov, plan), plan)
         sq_g = float(np.sum((tau - tau_true) ** 2))
         if sq_g == 0.0:
             raise CausalEffectsError(
@@ -226,7 +224,7 @@ def run_simulation(
         if treat_size == 1:
             z = sorted(cpdag.parents_of(treatment[0]))
             if outcome not in z:
-                adj = adjustment_estimate(data, dag.vertices, treatment, outcome, z)
+                adj = _adjustment_from_cov(cov, treatment, outcome, tuple(z))
                 sq_a = float(np.sum((adj.tau - tau_true) ** 2))
                 rec["sq_err_adjustment"] = sq_a
                 rec["rel_sq_err_adjustment"] = sq_a / sq_g

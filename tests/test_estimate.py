@@ -279,6 +279,26 @@ def test_efficiency_bound_equals_weighted_acov_at_population(rng):
     assert checked >= 8
 
 
+def test_variance_forms_check_which_model_they_get(three_bucket_graph):
+    """The gbar model carries the saturated buckets (prefix parents), so
+    delta_method_acov refuses it, and efficiency_bound refuses a g model in
+    its place."""
+    g = three_bucket_graph
+    plan = build_plan(g, ("1",), "5")
+    cov = sample_covariance(rng_from_seed(8).normal(size=(50, 6)), g.vertices)
+    model_g, model_gbar = g_regression(cov, plan), gbar_regression(cov, plan)
+    for k in plan.bucket_order:
+        assert model_gbar.parents(k) == plan.buckets.prefix(k)
+    assert model_gbar.parents(2) != model_g.parents(2)
+    with pytest.raises(GraphValidationError, match="different bucket decompositions"):
+        delta_method_acov(model_gbar, plan, cov)
+    with pytest.raises(GraphValidationError, match="gbar_regression model"):
+        efficiency_bound(model_g, model_g, plan, cov, np.ones(1))
+    with pytest.raises(GraphValidationError, match="different bucket decompositions"):
+        efficiency_bound(model_gbar, model_gbar, plan, cov, np.ones(1))
+    assert efficiency_bound(model_g, model_gbar, plan, cov, np.ones(1)) > 0
+
+
 def test_population_g_regression_never_beaten_by_adjustment(rng):
     """At the population the g-regression avar is no larger than the
     parent-adjustment avar for single treatments (efficiency)."""
@@ -496,6 +516,21 @@ def test_bootstrap_refuses_fragile_samples():
             f"bootstrap rejected {rejected} of {n_boot + rejected} replicates "
             "(resampled covariances singular)"
         )
+
+
+def test_bootstrap_refuses_bad_data_before_drawing(chain_sem):
+    """Data that sample_covariance refuses raise its own reason, not a
+    count of rejected replicates."""
+    g = chain_sem.graph
+    plan = build_plan(g, ("a",), "y")
+    data = sample(chain_sem, 200, rng_from_seed(13))
+    with_nan = data.copy()
+    with_nan[7, 1] = np.nan
+    for bad, reason in ((with_nan, "non-finite"),
+                        (data[:, :2], "2 columns but 3 vertex labels"),
+                        (data[:3], "more rows than columns")):
+        with pytest.raises(DegenerateSampleError, match=reason):
+            bootstrap_ci(bad, g.vertices, plan, n_boot=40)
 
 
 def _bootstrap_against_loop(data, columns, plan, **kw):

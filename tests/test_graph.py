@@ -246,6 +246,29 @@ def test_rule_violations_reports_pattern():
     assert ("R1", ("a", "b", "c")) in viol
 
 
+def test_rule_violations_do_not_depend_on_edge_order():
+    """The same unclosed graph, its edges listed in shuffled orders and
+    directions, names the same first violation and the same "+N more"."""
+    labels = tuple(f"v{i}" for i in range(10))
+    directed = [("v1", "v4"), ("v1", "v2"), ("v9", "v5"), ("v4", "v5"), ("v4", "v6"),
+                ("v7", "v8"), ("v2", "v6")]
+    undirected = [("v0", "v2"), ("v0", "v3"), ("v1", "v5"), ("v9", "v3"), ("v2", "v3"),
+                  ("v2", "v8"), ("v5", "v8")]
+    want = rule_violations(Pdag(labels, directed, undirected))
+    assert len(want) > 1
+    with pytest.raises(GraphValidationError) as first:
+        Mpdag(labels, directed, undirected)
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        d = [directed[i] for i in rng.permutation(len(directed))]
+        u = [e if rng.random() < 0.5 else e[::-1]
+             for e in (undirected[i] for i in rng.permutation(len(undirected)))]
+        assert rule_violations(Pdag(labels, d, u)) == want
+        with pytest.raises(GraphValidationError) as exc:
+            Mpdag(labels, d, u)
+        assert str(exc.value) == str(first.value)
+
+
 # ---------------------------------------------------------------------------
 # background knowledge
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import causaleffects
@@ -48,3 +49,15 @@ def test_package_has_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for name, line in _unused_imports(tree)]
     assert not found, f"unused imports in the package: {found}"
+
+
+def test_package_exports_every_module_export():
+    """``from causaleffects import X`` works for every name a module lists."""
+    missing = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"causaleffects.{path.stem}")
+        missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                    if name not in causaleffects.__all__]
+    assert not missing, f"module exports missing from the package __all__: {missing}"
