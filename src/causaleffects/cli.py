@@ -19,10 +19,9 @@ from .errors import (
     DegenerateSampleError,
     GraphValidationError,
     IllConditionedError,
-    InconsistentKnowledgeError,
     NotIdentifiedError,
 )
-from .estimate import estimate_total_effect
+from .estimate import _check_seed, estimate_total_effect
 from .graph import (
     bucket_decomposition,
     cpdag_from_dag,
@@ -45,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; 2 means "invalid graph" here
     def error(self, message):
         raise _CliInputError(message)
+
+
+def _seed(text: str) -> int:
+    """Parse a ``--seed`` value: an integer the library accepts as a seed."""
+    try:
+        return _check_seed(int(text))
+    except (ValueError, GraphValidationError):
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**64), got {text!r}"
+        ) from None
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -254,7 +263,7 @@ def _build_parser() -> _Parser:
     pe.add_argument("--bootstrap", type=int, default=0, metavar="B",
                     help="pairs-bootstrap replicates for percentile intervals")
     pe.add_argument("--level", type=float, default=0.95)
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=_seed, default=0)
     pe.add_argument("--out")
     pe.set_defaults(func=_cmd_estimate)
 
@@ -263,7 +272,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--treat-size", type=int, default=1)
     ps.add_argument("--n", type=int, default=1000)
     ps.add_argument("--reps", type=int, default=100)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--rescale", action="store_true")
     ps.add_argument("--family", choices=["gaussian", "scaled_t5", "logistic", "uniform"])
     ps.add_argument("--per-vertex-families", action="store_true")
@@ -284,9 +293,6 @@ def main(argv=None) -> int:
         if isinstance(e.code, int):
             return e.code
         return _OK if e.code is None else _INPUT_ERROR
-    except InconsistentKnowledgeError as e:
-        print(str(e), file=sys.stderr)
-        return _INVALID_GRAPH
 
 
 if __name__ == "__main__":

@@ -456,6 +456,8 @@ def efficiency_bound(
             "efficiency_bound expects a gbar_regression model of the plan's "
             "buckets as its second model"
         )
+    if any(model_gbar.omega_blocks[k] is None for k in plan.bucket_order):
+        raise GraphValidationError("second model does not hold every bucket of the plan")
     w = np.asarray(w, dtype=float)
     grads = {k: np.einsum("t,tib->ib", w, h)[None]
              for k, h in effect_gradients(model_g, plan).items()}
@@ -561,6 +563,15 @@ def _adjustment_from_cov(
     )
 
 
+def _check_seed(seed) -> int:
+    """``seed`` itself when it is an integer in [0, 2**64), the keys of the
+    64-bit Philox generators that the bootstrap and the simulation draw
+    from; raises :class:`GraphValidationError` otherwise."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise GraphValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def bootstrap_ci(
     data: np.ndarray,
     columns: Sequence[str],
@@ -593,9 +604,11 @@ def bootstrap_ci(
     Returns ``(lower, upper, boot_acov, n_rejected)`` where ``boot_acov``
     is n times the covariance of the replicate estimates (the bootstrap
     counterpart of the delta-method acov).  ``n_boot`` below 2 raises
-    :class:`GraphValidationError`: one replicate has no spread.  Data that
-    :func:`sample_covariance` refuses are refused before any draw.
+    :class:`GraphValidationError`: one replicate has no spread, and so does
+    a seed outside [0, 2**64).  Data that :func:`sample_covariance` refuses
+    are refused before any draw.
     """
+    _check_seed(seed)
     if n_boot < 2:
         raise GraphValidationError(f"need at least 2 bootstrap replicates, got {n_boot}")
     if not 0.0 < level < 1.0:

@@ -240,55 +240,66 @@ def _copy(g: Pdag) -> Mpdag:
     return m
 
 
+def _rule_instances(
+    g: Pdag, b: int, out: list, src: int | None = None, dst: int | None = None
+) -> None:
+    """Append to ``out`` every instance of R1-R4 centred at vertex ``b`` as
+    ``(vertices, rule, (i, j))``, where i -> j is the edge the instance
+    orients.  Each rule's premise holds i - j, so every instance is a
+    violation of closure.
+
+    The centre is the head of R1's and R3's directed edges and the middle
+    of R2's and R4's directed path.  ``src`` keeps only instances whose
+    directed edge into ``b`` starts there (for R3, either edge), ``dst``
+    only those whose directed edge out of ``b`` ends there, so R1 and R3
+    have none.  ``g`` is only read.
+    """
+    pa, ch, nb, adj = g._pa, g._ch, g._nb, g._adj
+    nb_b = nb[b]
+    for a in pa[b] if src is None else (src,):
+        nb_a = nb[a]
+        if dst is None:
+            # R1: a -> b - c, a and c non-adjacent  =>  b -> c
+            for c in nb_b:
+                if not adj(a, c):
+                    out.append(((a, b, c), "R1", (b, c)))
+            # R3: a -> b <- c, d - a, d - b, d - c, a and c non-adjacent
+            #     =>  d -> b; unrestricted, each pair {a, c} once as a < c
+            for d in nb_b:
+                if d in nb_a:
+                    for c in pa[b] & nb[d]:
+                        if (a < c if src is None else a != c) and not adj(a, c):
+                            out.append(((a, b, c, d), "R3", (d, b)))
+        for c in ch[b] if dst is None else (dst,):
+            # R2: a -> b -> c, a - c  =>  a -> c
+            if c in nb_a:
+                out.append(((a, b, c), "R2", (a, c)))
+                continue
+            # R4: a -> b -> c, d - a, d - b, d - c, a and c non-adjacent  =>  d -> c
+            for d in nb[c]:
+                if d in nb_a and d in nb_b and not adj(a, c):
+                    out.append(((a, b, c, d), "R4", (d, c)))
+
+
 def _close(m: Mpdag, queue: deque) -> None:
     """Drive R1-R4 to a fixpoint.
 
-    The queue holds directed edges not yet examined.  Each rule consumes one
-    or two directed edges plus undirected edges and non-adjacencies; since
-    orienting only adds directed edges (queued here) and removes undirected
-    ones, re-examining every popped edge in each directed role of each rule
-    reaches the fixpoint.
+    The queue holds directed edges not yet examined.  Orienting only adds
+    directed edges (queued here) and removes undirected ones, so a rule
+    instance starts to apply only when its last directed edge is added.
+    Each popped edge a -> b is therefore looked up as the edge into the
+    centre b and as the edge out of the centre a, and what that finds is
+    oriented.  On a graph that represents a DAG the closure does not depend
+    on the order in which the rules fire (Meek 1995).
     """
-    pa, ch, nb = m._pa, m._ch, m._nb
-    adj, orient = m._adj, m._orient
+    found: list = []
     while queue:
         a, b = queue.popleft()
-        # R1:  a -> b - c, a and c non-adjacent         =>  b -> c
-        for c in list(nb[b]):
-            if c != a and not adj(a, c):
-                orient(b, c, queue)
-        # R2 with (a, b) as the first edge of a -> b -> c, a - c  =>  a -> c
-        for c in list(ch[b]):
-            if c in nb[a]:
-                orient(a, c, queue)
-        # R2 with (a, b) as the second edge: x -> a -> b, x - b   =>  x -> b
-        for x in list(pa[a]):
-            if b in nb[x]:
-                orient(x, b, queue)
-        # R3:  a -> b <- c, d - a, d - b, d - c, a and c non-adjacent  =>  d -> b
-        for d in list(nb[b]):
-            if d == a or d not in nb[a]:
-                continue
-            if any(
-                c != a and c in nb[d] and not adj(a, c)
-                for c in pa[b]
-            ):
-                orient(d, b, queue)
-        # R4 with (a, b) as the first edge of a -> b -> c,
-        #     d - a, d - b, d - c, a and c non-adjacent  =>  d -> c
-        for c in list(ch[b]):
-            if c == a or adj(a, c):
-                continue
-            for d in list(nb[c]):
-                if d in nb[a] and d in nb[b]:
-                    orient(d, c, queue)
-        # R4 with (a, b) as the second edge: x -> a -> b
-        for x in list(pa[a]):
-            if x == b or adj(x, b):
-                continue
-            for d in list(nb[b]):
-                if d in nb[x] and d in nb[a]:
-                    orient(d, b, queue)
+        _rule_instances(m, b, found, src=a)
+        _rule_instances(m, a, found, dst=b)
+        for _, _, (i, j) in found:
+            m._orient(i, j, queue)
+        found.clear()
 
 
 def meek_closure(g: Pdag) -> Mpdag:
@@ -314,36 +325,14 @@ def rule_violations(g: Pdag) -> list[tuple[str, tuple[str, ...]]]:
     ``graph validate`` command to report which rule a non-maximal graph
     violates.
     """
-    out = []
-    adj = g._adj
+    out: list = []
     for b in range(g.n_vertices):
-        for a in g._pa[b]:
-            # R1: a -> b - c, a/c non-adjacent
-            for c in g._nb[b]:
-                if c != a and not adj(a, c):
-                    out.append(((a, b, c), "R1"))
-            # R2: a -> b -> c, a - c
-            for c in g._ch[b]:
-                if c in g._nb[a]:
-                    out.append(((a, b, c), "R2"))
-        # R3: a -> b <- c, d - a, d - b, d - c, a/c non-adjacent
-        for d in g._nb[b]:
-            for a, c in combinations(sorted(g._pa[b] & g._nb[d]), 2):
-                if not adj(a, c):
-                    out.append(((a, b, c, d), "R3"))
-        # R4: a -> b -> c, d - a, d - b, d - c, a/c non-adjacent
-        for a in g._pa[b]:
-            for c in g._ch[b]:
-                if c == a or adj(a, c):
-                    continue
-                for d in g._nb[c]:
-                    if d in g._nb[a] and d in g._nb[b]:
-                        out.append(((a, b, c, d), "R4"))
+        _rule_instances(g, b, out)
     if not out:
         return out
     out.sort()  # the sets above iterate in an order that depends on edge insertion
     lab = g.vertices
-    return [(rule, tuple(lab[i] for i in vs)) for vs, rule in out]
+    return [(rule, tuple(lab[i] for i in vs)) for vs, rule, _ in out]
 
 
 def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
@@ -734,6 +723,8 @@ def graph_from_dict(d: dict, strict: bool = False) -> Pdag:
     extras = set(d) - {"vertices", "directed", "undirected"}
     if extras:
         raise GraphValidationError(f"unknown graph JSON fields: {sorted(extras)}")
+    if not isinstance(d["vertices"], list):
+        raise GraphValidationError("'vertices' must be an array of labels")
 
     def pairs(key):
         out = []

@@ -17,7 +17,6 @@ from .errors import GraphValidationError, NotIdentifiedError
 from .graph import (
     BucketDecomposition,
     Pdag,
-    _rule_checked,
     ancestors_in_subgraph,
     bucket_decomposition,
     exists_proper_possibly_causal_undirected_start,
@@ -90,7 +89,6 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
     treatment set or an earlier D_j.
     """
     treatment = _check_query(g, treatment, outcome)
-    g = _rule_checked(g)
     path = proper_undirected_start_path(g, treatment, outcome)
     if path is not None:
         raise NotIdentifiedError(

@@ -23,13 +23,14 @@ from .errors import CausalEffectsError, NotIdentifiedError
 from .estimate import (
     SampleCovariance,
     _adjustment_from_cov,
+    _check_seed,
     effect_from_lambda,
     efficiency_bound,
     g_regression,
     gbar_regression,
     sample_covariance,
 )
-from .graph import cpdag_from_dag
+from .graph import cpdag_from_dag, possible_descendants
 from .identify import build_plan
 from .sem import random_dag, random_sem, rng_from_seed, sample, true_effect_blockform
 
@@ -98,29 +99,17 @@ def _draw_query(dag, cpdag, treat_size, rng):
     among their descendants until the effect is identified from the CPDAG.
     Returns (plan, redraws), with the plan from :func:`build_plan`, or None
     to request a fresh DAG."""
-    g = dag
-    desc = []
-    for i in range(g.n_vertices):
-        seen = set()
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for c in g._ch[u]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        desc.append(seen)
-    candidates = [i for i in range(g.n_vertices) if desc[i]]
+    candidates = [i for i in range(dag.n_vertices) if dag._ch[i]]
     if len(candidates) < treat_size:
         return None
     for redraw in range(_AY_REDRAW_CAP):
-        a_idx = [candidates[t] for t in rng.choice(len(candidates), treat_size, replace=False)]
-        pool = sorted(set().union(*(desc[i] for i in a_idx)) - set(a_idx))
+        picks = rng.choice(len(candidates), treat_size, replace=False)
+        treatment = tuple(dag.vertices[i] for i in sorted(candidates[t] for t in picks))
+        # on a DAG: the treatment and its descendants
+        pool = sorted(map(dag.index, possible_descendants(dag, treatment).difference(treatment)))
         if not pool:
             continue
-        y_idx = pool[rng.integers(len(pool))]
-        treatment = tuple(g.vertices[i] for i in sorted(a_idx))
-        outcome = g.vertices[y_idx]
+        outcome = dag.vertices[pool[rng.integers(len(pool))]]
         try:
             return build_plan(cpdag, treatment, outcome), redraw
         except NotIdentifiedError:
@@ -161,7 +150,9 @@ def run_simulation(
     for the g-regression estimate and for the population variance ratio of
     parent adjustment over the efficiency bound; every regression fits the
     plan's buckets only.  One sample covariance per replication serves both
-    the g-regression estimate and the adjustment baseline."""
+    the g-regression estimate and the adjustment baseline.  A seed outside
+    [0, 2**64) raises :class:`GraphValidationError`."""
+    _check_seed(seed)
     report = SimReport(
         params={
             "n_vertices": n_vertices,

@@ -282,7 +282,7 @@ def test_efficiency_bound_equals_weighted_acov_at_population(rng):
 def test_variance_forms_check_which_model_they_get(three_bucket_graph):
     """The gbar model carries the saturated buckets (prefix parents), so
     delta_method_acov refuses it, and efficiency_bound refuses a g model in
-    its place."""
+    its place, or a gbar model fitted for another plan of the graph."""
     g = three_bucket_graph
     plan = build_plan(g, ("1",), "5")
     cov = sample_covariance(rng_from_seed(8).normal(size=(50, 6)), g.vertices)
@@ -296,6 +296,9 @@ def test_variance_forms_check_which_model_they_get(three_bucket_graph):
         efficiency_bound(model_g, model_g, plan, cov, np.ones(1))
     with pytest.raises(GraphValidationError, match="different bucket decompositions"):
         efficiency_bound(model_gbar, model_gbar, plan, cov, np.ones(1))
+    other = gbar_regression(cov, build_plan(g, ("1",), "3"))
+    with pytest.raises(GraphValidationError, match="does not hold every bucket"):
+        efficiency_bound(model_g, other, plan, cov, np.ones(1))
     assert efficiency_bound(model_g, model_gbar, plan, cov, np.ones(1)) > 0
 
 

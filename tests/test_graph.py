@@ -148,7 +148,11 @@ def _assert_closures_agree(vertices, directed, undirected):
 
 def test_closure_matches_naive_fixpoint():
     """Worklist closure equals the one-orientation-per-scan fixpoint on
-    v-structure patterns and on CPDAGs with fresh knowledge orientations."""
+    v-structure patterns, on CPDAGs with fresh knowledge orientations, and
+    on random PDAGs with arbitrary directed edges that some DAG extends.
+    The worklist orients every instance it finds at an edge before looking
+    further, which is exact only because, on such graphs, the closure does
+    not depend on the order in which the rules fire."""
     rng = rng_from_seed(7, 1)
     for p in (3, 4, 5, 6, 7):
         for _ in range(12):
@@ -181,6 +185,25 @@ def test_closure_matches_naive_fixpoint():
             _assert_closures_agree(
                 dag.vertices, list(cpdag.directed_edges) + extra, rest
             )
+
+    kept = 0
+    for _ in range(400):
+        p = int(rng.integers(3, 8))
+        labels = tuple(f"v{i}" for i in range(p))
+        directed, undirected = [], []
+        for i in range(p):
+            for j in range(i + 1, p):
+                if rng.random() < 0.45:
+                    pair = (labels[i], labels[j])[:: rng.choice((1, -1))]
+                    (directed if rng.random() < 0.4 else undirected).append(pair)
+        try:
+            g = Pdag(labels, directed, undirected)
+        except GraphValidationError:
+            continue  # a directed cycle
+        if oracles.consistent_extensions(g):
+            _assert_closures_agree(labels, directed, undirected)
+            kept += 1
+    assert kept > 200
 
 
 def test_closure_idempotent_and_monotone(rng):
@@ -605,6 +628,8 @@ def test_graph_from_dict_rejects_bad_schema():
         {k: v for k, v in ok.items() if k != "undirected"},
         {**ok, "extra": 1},
         {**ok, "directed": [["a"]]},
+        {**ok, "vertices": "ab"},
+        {**ok, "vertices": {"a": 0, "b": 1}},
     ):
         with pytest.raises(GraphValidationError):
             graph_from_dict(bad)

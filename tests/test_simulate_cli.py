@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from causaleffects import (
+    GraphValidationError,
     Mpdag,
     Pdag,
+    bootstrap_ci,
+    build_plan,
     estimate_total_effect,
     rng_from_seed,
     sample,
@@ -356,6 +359,23 @@ def test_cli_estimate_rejects_too_few_replicates(
         )
     assert code == 3 and out == ""
     assert err == f"bad input: need at least 2 bootstrap replicates, got {n_boot}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_refused(capsys, chain_graph_file, chain_data_file, seed):
+    data_path, x = chain_data_file
+    code, out, err = _run(
+        capsys, "estimate", "--graph", chain_graph_file, "--data", data_path,
+        "--treat", "a", "--outcome", "y", "--bootstrap", "20", "--seed", str(seed),
+    )
+    assert code == 3 and out == "" and "seed must be an integer in [0, 2**64)" in err
+    code, out, err = _run(capsys, "simulate", "--nodes", "6", "--reps", "1", "--seed", str(seed))
+    assert code == 3 and out == "" and "seed must be an integer in [0, 2**64)" in err
+    g = Mpdag(("a", "m", "y"), (("a", "m"), ("m", "y")))
+    with pytest.raises(GraphValidationError, match="seed must be an integer"):
+        bootstrap_ci(x, g.vertices, build_plan(g, ("a",), "y"), n_boot=20, seed=seed)
+    with pytest.raises(GraphValidationError, match="seed must be an integer"):
+        run_simulation(n_vertices=6, treat_size=1, n=100, reps=1, seed=seed)
 
 
 def test_cli_estimate_too_few_rows(capsys, tmp_path, chain_graph_file):
