@@ -31,6 +31,7 @@ from .graph import (
     saturated_mpdag,
 )
 from .identify import build_plan
+from .sem import ERROR_FAMILIES
 from .simulate import run_simulation
 
 _OK, _NOT_IDENTIFIED, _INVALID_GRAPH, _INPUT_ERROR, _NUMERIC = 0, 1, 2, 3, 4
@@ -38,6 +39,22 @@ _OK, _NOT_IDENTIFIED, _INVALID_GRAPH, _INPUT_ERROR, _NUMERIC = 0, 1, 2, 3, 4
 
 class _CliInputError(Exception):
     pass
+
+
+class _InvalidGraph(Exception):
+    pass
+
+
+# the exit-code contract: (exception types, exit code, stderr prefix), the
+# first match wins; command functions only raise
+_FAILURES = (
+    (_InvalidGraph, _INVALID_GRAPH, "invalid graph: "),
+    ((_CliInputError, OSError), _INPUT_ERROR, "input error: "),
+    (NotIdentifiedError, _NOT_IDENTIFIED, ""),
+    (IllConditionedError, _NUMERIC, "numeric failure: "),
+    ((GraphValidationError, DegenerateSampleError), _INPUT_ERROR, "bad input: "),
+    (CausalEffectsError, _NUMERIC, "simulation aborted: "),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,33 +86,23 @@ def _load_graph(path: str, strict: bool):
     try:
         return load_graph(path, strict=strict)
     except GraphValidationError as e:
-        print(f"invalid graph: {e}", file=sys.stderr)
-        raise SystemExit(_INVALID_GRAPH)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot read graph: {e}", file=sys.stderr)
-        raise SystemExit(_INPUT_ERROR)
-
-
-def _check_row_widths(rows: list[list[str]], width: int) -> None:
-    """Name the first data row whose field count is not ``width``."""
-    for k, row in enumerate(rows):
-        if len(row) != width:
-            raise _CliInputError(f"data row {k + 1} has {len(row)} fields, the header has {width}")
+        raise _InvalidGraph(str(e)) from None
+    except (OSError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
+        raise _CliInputError(f"cannot read graph: {e}") from None
 
 
 def _read_data_csv(path: str, vertices: tuple[str, ...]):
     """CSV with a header whose columns match the graph's vertex labels
-    exactly (any order); finite decimal values.  Blank lines are skipped."""
+    exactly (any order); finite decimal values.  Blank lines are skipped,
+    and a leading byte-order mark is ignored."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = filter(None, csv.reader(fh))  # drops blank lines
-            header = next(reader, None)
-            if header is None:
-                raise _CliInputError("data file is empty")
-            rows = list(reader)
-    except OSError as e:
-        raise _CliInputError(f"cannot read data: {e}")
-    header = [h.strip() for h in header]
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]  # drops blank lines
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise _CliInputError(f"cannot read data: {e}") from None
+    if not rows:
+        raise _CliInputError("data file is empty")
+    header, rows = [h.strip() for h in rows[0]], rows[1:]
     missing = [v for v in vertices if v not in header]
     extra = [h for h in header if h not in vertices]
     if missing or extra:
@@ -107,22 +114,22 @@ def _read_data_csv(path: str, vertices: tuple[str, ...]):
         raise _CliInputError("data columns do not match the graph: " + "; ".join(parts))
     if len(set(header)) != len(header):
         raise _CliInputError("duplicate data columns")
+    for k, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise _CliInputError(f"data row {k} has {len(row)} fields, the header has {len(header)}")
     try:
         x = np.array(rows, dtype=float)
     except ValueError as e:
-        _check_row_widths(rows, len(header))
-        raise _CliInputError(f"data values must be decimals: {e}")
+        raise _CliInputError(f"data values must be decimals: {e}") from None
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise _CliInputError("data values must be finite and non-empty")
-    if x.shape[1] != len(header):
-        _check_row_widths(rows, len(header))
     order = [header.index(v) for v in vertices]
     return x[:, order]
 
 
 def _cmd_graph(args) -> int:
+    g = _load_graph(args.graph, strict=False)
     if args.action == "validate":
-        g = _load_graph(args.graph, strict=False)
         viol = rule_violations(g)
         payload = {
             "valid": not viol,
@@ -131,24 +138,20 @@ def _cmd_graph(args) -> int:
         }
         _emit(payload, args.out)
         return _OK if not viol else _INVALID_GRAPH
-    g = _load_graph(args.graph, strict=False)
     try:
         if args.action == "buckets":
             dec = bucket_decomposition(g)
-            _emit(
-                {
-                    "buckets": [list(b) for b in dec.buckets],
-                    "external_parents": [list(p) for p in dec.external_parents],
-                },
-                args.out,
-            )
+            payload = {
+                "buckets": [list(b) for b in dec.buckets],
+                "external_parents": [list(p) for p in dec.external_parents],
+            }
         elif args.action == "saturate":
-            _emit(graph_to_dict(saturated_mpdag(g)), args.out)
+            payload = graph_to_dict(saturated_mpdag(g))
         else:  # cpdag
-            _emit(graph_to_dict(cpdag_from_dag(g)), args.out)
+            payload = graph_to_dict(cpdag_from_dag(g))
     except GraphValidationError as e:
-        print(f"invalid graph: {e}", file=sys.stderr)
-        return _INVALID_GRAPH
+        raise _InvalidGraph(str(e)) from None
+    _emit(payload, args.out)
     return _OK
 
 
@@ -163,9 +166,6 @@ def _cmd_id(args) -> int:
             args.out,
         )
         return _NOT_IDENTIFIED
-    except GraphValidationError as e:
-        print(f"bad query: {e}", file=sys.stderr)
-        return _INPUT_ERROR
     _emit(
         {
             "identified": True,
@@ -185,49 +185,32 @@ def _cmd_estimate(args) -> int:
     g = _load_graph(args.graph, strict=True)
     treatment = [t.strip() for t in args.treat.split(",") if t.strip()]
     data = _read_data_csv(args.data, g.vertices)
-    try:
-        est = estimate_total_effect(
-            g,
-            treatment,
-            args.outcome,
-            data=data,
-            columns=g.vertices,
-            center=args.center,
-            n_boot=args.bootstrap,
-            level=args.level,
-            seed=args.seed,
-        )
-    except NotIdentifiedError as e:
-        print(str(e), file=sys.stderr)
-        return _NOT_IDENTIFIED
-    except IllConditionedError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return _NUMERIC
-    except (GraphValidationError, DegenerateSampleError) as e:
-        print(f"bad input: {e}", file=sys.stderr)
-        return _INPUT_ERROR
+    est = estimate_total_effect(
+        g,
+        treatment,
+        args.outcome,
+        data=data,
+        columns=g.vertices,
+        center=args.center,
+        n_boot=args.bootstrap,
+        level=args.level,
+        seed=args.seed,
+    )
     _emit(est.to_dict(), args.out)
     return _OK
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        report = run_simulation(
-            n_vertices=args.nodes,
-            treat_size=args.treat_size,
-            n=args.n,
-            reps=args.reps,
-            seed=args.seed,
-            rescale=args.rescale,
-            family=args.family,
-            per_vertex_families=args.per_vertex_families,
-        )
-    except IllConditionedError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return _NUMERIC
-    except CausalEffectsError as e:
-        print(f"simulation aborted: {e}", file=sys.stderr)
-        return _NUMERIC
+    report = run_simulation(
+        n_vertices=args.nodes,
+        treat_size=args.treat_size,
+        n=args.n,
+        reps=args.reps,
+        seed=args.seed,
+        rescale=args.rescale,
+        family=args.family,
+        per_vertex_families=args.per_vertex_families,
+    )
     if args.out:
         report.write_csv(args.out)
         with open(args.out + ".summary.json", "w", encoding="utf-8") as fh:
@@ -274,7 +257,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--reps", type=int, default=100)
     ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--rescale", action="store_true")
-    ps.add_argument("--family", choices=["gaussian", "scaled_t5", "logistic", "uniform"])
+    ps.add_argument("--family", choices=ERROR_FAMILIES)
     ps.add_argument("--per-vertex-families", action="store_true")
     ps.add_argument("--out", help="per-replication CSV path")
     ps.set_defaults(func=_cmd_simulate)
@@ -282,17 +265,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _CliInputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return _INPUT_ERROR
-    except SystemExit as e:
-        if isinstance(e.code, int):
-            return e.code
-        return _OK if e.code is None else _INPUT_ERROR
+    except SystemExit as e:  # argparse exits only after --help
+        return e.code or _OK
+    except Exception as e:
+        for types, code, prefix in _FAILURES:
+            if isinstance(e, types):
+                print(f"{prefix}{e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -727,11 +727,16 @@ def graph_from_dict(d: dict, strict: bool = False) -> Pdag:
         raise GraphValidationError("'vertices' must be an array of labels")
 
     def pairs(key):
+        if not isinstance(d[key], list):
+            raise GraphValidationError(f"{key!r} must be an array of [u, v] pairs")
         out = []
         for e in d[key]:
             if not (isinstance(e, (list, tuple)) and len(e) == 2):
                 raise GraphValidationError(f"{key!r} entries must be [u, v] pairs")
-            out.append((e[0], e[1]))
+            u, v = e
+            if not (isinstance(u, str) and isinstance(v, str)):
+                raise GraphValidationError(f"{key!r} endpoints must be string labels")
+            out.append((u, v))
         return out
 
     cls = Mpdag if strict else Pdag

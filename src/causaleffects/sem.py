@@ -37,15 +37,20 @@ __all__ = [
     "load_sem",
 ]
 
-ERROR_FAMILIES = ("gaussian", "scaled_t5", "logistic", "uniform")
-
-# per-family parameter ranges used by random_sem
-_PARAM_RANGES = {
-    "gaussian": (0.5, 6.0),   # variance
-    "scaled_t5": (0.5, 1.5),  # squared scale; variance is 5/3 of it
-    "logistic": (0.4, 0.7),   # scale; variance is scale^2 pi^2 / 3
-    "uniform": (1.2, 2.1),    # half-width; variance is width^2 / 3
+# family -> (range random_sem draws the parameter from, variance(param),
+# draw(rng, param, size)); the parameter is, in turn, the variance, the
+# squared scale, the scale and the half-width
+_FAMILIES = {
+    "gaussian": ((0.5, 6.0), lambda a: a,
+                 lambda rng, a, size: rng.normal(0.0, np.sqrt(a), size)),
+    "scaled_t5": ((0.5, 1.5), lambda a: a * 5.0 / 3.0,
+                  lambda rng, a, size: np.sqrt(a) * rng.standard_t(5, size)),
+    "logistic": ((0.4, 0.7), lambda a: a**2 * np.pi**2 / 3.0,
+                 lambda rng, a, size: rng.logistic(0.0, a, size)),
+    "uniform": ((1.2, 2.1), lambda a: a**2 / 3.0,
+                lambda rng, a, size: rng.uniform(-a, a, size)),
 }
+ERROR_FAMILIES = tuple(_FAMILIES)
 
 
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
@@ -70,22 +75,10 @@ class ErrorSpec:
 
     @property
     def variance(self) -> float:
-        if self.family == "gaussian":
-            return self.param
-        if self.family == "scaled_t5":
-            return self.param * 5.0 / 3.0
-        if self.family == "logistic":
-            return self.param**2 * np.pi**2 / 3.0
-        return self.param**2 / 3.0  # uniform
+        return _FAMILIES[self.family][1](self.param)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family == "gaussian":
-            return rng.normal(0.0, np.sqrt(self.param), size)
-        if self.family == "scaled_t5":
-            return np.sqrt(self.param) * rng.standard_t(5, size)
-        if self.family == "logistic":
-            return rng.logistic(0.0, self.param, size)
-        return rng.uniform(-self.param, self.param, size)
+        return _FAMILIES[self.family][2](rng, self.param, size)
 
 
 @dataclass(frozen=True)
@@ -184,8 +177,7 @@ def random_sem(
         fam = family
         if fam is None:
             fam = ERROR_FAMILIES[rng.integers(len(ERROR_FAMILIES))]
-        lo, hi = _PARAM_RANGES[fam]
-        return fam, (lo, hi)
+        return fam, _FAMILIES[fam][0]
 
     if per_vertex_families and family is None:
         specs = []

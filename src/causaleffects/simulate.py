@@ -19,7 +19,7 @@ from statistics import median
 
 import numpy as np
 
-from .errors import CausalEffectsError, NotIdentifiedError
+from .errors import CausalEffectsError, GraphValidationError, NotIdentifiedError
 from .estimate import (
     SampleCovariance,
     _adjustment_from_cov,
@@ -151,8 +151,23 @@ def run_simulation(
     parent adjustment over the efficiency bound; every regression fits the
     plan's buckets only.  One sample covariance per replication serves both
     the g-regression estimate and the adjustment baseline.  A seed outside
-    [0, 2**64) raises :class:`GraphValidationError`."""
+    [0, 2**64) raises :class:`GraphValidationError`, and so, before any
+    draw, do fewer than two vertices, a treatment size outside
+    [1, n_vertices), a sample size n <= n_vertices and fewer than one
+    replication."""
     _check_seed(seed)
+    if n_vertices < 2:
+        raise GraphValidationError(f"need at least two vertices, got {n_vertices}")
+    if not 1 <= treat_size < n_vertices:
+        raise GraphValidationError(
+            f"treatment size must be in [1, {n_vertices}), got {treat_size}"
+        )
+    if n <= n_vertices:
+        raise GraphValidationError(
+            f"need more samples than vertices, got n={n} for {n_vertices} vertices"
+        )
+    if reps < 1:
+        raise GraphValidationError(f"need at least one replication, got {reps}")
     report = SimReport(
         params={
             "n_vertices": n_vertices,

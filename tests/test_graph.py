@@ -630,6 +630,10 @@ def test_graph_from_dict_rejects_bad_schema():
         {**ok, "directed": [["a"]]},
         {**ok, "vertices": "ab"},
         {**ok, "vertices": {"a": 0, "b": 1}},
+        {**ok, "directed": None},
+        {**ok, "undirected": 3},
+        {**ok, "undirected": [[["a"], "b"]]},
+        {**ok, "directed": [["a", 2]]},
     ):
         with pytest.raises(GraphValidationError):
             graph_from_dict(bad)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +206,7 @@ def test_cli_id_bad_query(capsys, chain_graph_file):
     code, _, err = _run(
         capsys, "id", "--graph", chain_graph_file, "--treat", "q", "--outcome", "y"
     )
-    assert code == 3 and "bad query" in err
+    assert code == 3 and "bad input" in err
     # strict loading refuses graphs that are not rule-closed
     code2, _, err2 = _run(
         capsys, "id", "--graph", chain_graph_file, "--treat", "a", "--outcome", "a"
@@ -332,6 +334,18 @@ def test_cli_estimate_skips_blank_lines(capsys, tmp_path, chain_graph_file, chai
     assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
+def test_cli_estimate_ignores_a_byte_order_mark(capsys, tmp_path, chain_graph_file, chain_data_file):
+    data_path, _ = chain_data_file
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(data_path).read_bytes())
+    runs = [
+        _run(capsys, "estimate", "--graph", chain_graph_file, "--data", d,
+             "--treat", "a", "--outcome", "y")
+        for d in (data_path, str(path))
+    ]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
 @pytest.mark.parametrize(
     "body, row, fields",
     [("1,2,3\n4,5\n6,7,8\n", 2, 2), ("1,2\n3,4\n", 1, 2), ("1,2,3,4\n5,6,7,8\n", 1, 4)],
@@ -440,3 +454,127 @@ def test_cli_simulate_deterministic(capsys, tmp_path):
     code2, out2, _ = _run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, kwargs, message",
+    [
+        (["--nodes", "1"], {"n_vertices": 1}, "need at least two vertices, got 1"),
+        (["--treat-size", "0"], {"treat_size": 0}, "treatment size must be in [1, 6), got 0"),
+        (["--treat-size", "6"], {"treat_size": 6}, "treatment size must be in [1, 6), got 6"),
+        (["--n", "0"], {"n": 0}, "need more samples than vertices, got n=0 for 6 vertices"),
+        (["--n", "6"], {"n": 6}, "need more samples than vertices, got n=6 for 6 vertices"),
+        (["--reps", "0"], {"reps": 0}, "need at least one replication, got 0"),
+        (["--reps", "-1"], {"reps": -1}, "need at least one replication, got -1"),
+    ],
+)
+def test_simulate_refuses_bad_arguments_before_any_draw(capsys, monkeypatch, argv, kwargs, message):
+    def no_draws(*args):
+        raise AssertionError("run_simulation drew before checking its arguments")
+
+    monkeypatch.setattr("causaleffects.simulate.rng_from_seed", no_draws)
+    kw = {"n_vertices": 6, "treat_size": 1, "n": 100, "reps": 2, "seed": 0, **kwargs}
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        run_simulation(**kw)
+    code, out, err = _run(capsys, "simulate", "--nodes", "6", "--n", "100", "--reps", "2", *argv)
+    assert (code, out, err) == (3, "", f"bad input: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# cli: the exit-code contract
+
+
+@pytest.fixture
+def contract_files(tmp_path, three_bucket_graph, side_collider, chain_sem):
+    """Graph and data files for every failure a command can hit."""
+    paths = {"missing": str(tmp_path / "missing.json"),
+             "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
+    graphs = {
+        "tb": three_bucket_graph,
+        "chain": Mpdag(("a", "m", "y"), (("a", "m"), ("m", "y"))),
+        "open": Pdag(("a", "b", "c"), (("a", "b"),), (("b", "c"),)),
+        "und": Mpdag(("a", "m", "y"), (), (("a", "m"), ("m", "y"), ("a", "y"))),
+        "collider": side_collider[0],
+    }
+    for name, g in graphs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_graph(g, paths[name])
+    paths["latin1"] = str(tmp_path / "latin1.json")
+    Path(paths["latin1"]).write_bytes(
+        '{"vertices": ["\u00e9"], "directed": [], "undirected": []}'.encode("latin-1")
+    )
+    paths["nulls"] = str(tmp_path / "nulls.json")
+    Path(paths["nulls"]).write_text('{"vertices": ["a"], "directed": null, "undirected": []}')
+
+    def write_csv(name, columns, x):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        with open(paths[name], "w", newline="") as fh:
+            csv.writer(fh).writerows([columns, *x.tolist()])
+
+    write_csv("data", ["a", "m", "y"], sample(chain_sem, 50, rng_from_seed(5)))
+    write_csv("ill", side_collider[0].vertices, exact_cov_data(side_collider[1], 10))
+    paths["latin1_data"] = str(tmp_path / "latin1.csv")
+    Path(paths["latin1_data"]).write_bytes("a,m,y\n1,2,3\n\u00e9,1,2\n".encode("latin-1"))
+    paths["wide_data"] = str(tmp_path / "wide.csv")  # one field past csv's size limit
+    Path(paths["wide_data"]).write_text("a,m,y\n1,2," + "3" * 200_000 + "\n")
+    return paths
+
+
+def _estimate(graph, data="data", treat="a", outcome="y", *extra):
+    return ["estimate", "--graph", graph, "--data", data, "--treat", treat,
+            "--outcome", outcome, *extra]
+
+
+_CONTRACT = {
+    # command: [(argv with file names, exit code, stderr prefix), ...]
+    "graph": [
+        (["graph", "cpdag", "--graph", "tb"], 2, "invalid graph: "),
+        (["graph", "buckets", "--graph", "nulls"], 2, "invalid graph: 'directed' must be an array"),
+        (["graph", "validate", "--graph", "missing"], 3, "input error: cannot read graph: "),
+        (["graph", "validate", "--graph", "latin1"], 3, "input error: cannot read graph: "),
+        (["graph", "frobnicate", "--graph", "tb"], 3, "input error: "),
+        (["graph", "buckets", "--graph", "tb", "--out", "unwritable"], 3, "input error: "),
+    ],
+    "id": [
+        (["id", "--graph", "open", "--treat", "a", "--outcome", "c"], 2, "invalid graph: "),
+        (["id", "--graph", "missing", "--treat", "a", "--outcome", "y"], 3,
+         "input error: cannot read graph: "),
+        (["id", "--graph", "latin1", "--treat", "a", "--outcome", "y"], 3,
+         "input error: cannot read graph: "),
+        (["id", "--graph", "chain", "--treat", "q", "--outcome", "y"], 3, "bad input: "),
+        (["id", "--graph", "chain", "--treat", "a", "--outcome", "y", "--out", "unwritable"], 3,
+         "input error: "),
+    ],
+    "estimate": [
+        (_estimate("und"), 1, "total effect of ['a'] on 'y' is not identified"),
+        (_estimate("open", "data", "a", "c"), 2, "invalid graph: "),
+        (_estimate("missing"), 3, "input error: cannot read graph: "),
+        (_estimate("latin1"), 3, "input error: cannot read graph: "),
+        (_estimate("chain", "missing"), 3, "input error: cannot read data: "),
+        (_estimate("chain", "latin1_data"), 3, "input error: cannot read data: "),
+        (_estimate("chain", "wide_data"), 3, "input error: cannot read data: field larger"),
+        (_estimate("chain", "data", "q"), 3, "bad input: "),
+        (_estimate("chain", "data", "a", "y", "--level", "high"), 3, "input error: "),
+        (_estimate("collider", "ill", "z1", "w"), 4, "numeric failure: "),
+        (_estimate("chain", "data", "a", "y", "--out", "unwritable"), 3, "input error: "),
+    ],
+    "simulate": [
+        (["simulate", "--nodes", "1"], 3, "bad input: "),
+        (["simulate", "--nodes", "4", "--family", "cauchy"], 3, "input error: "),
+        (["simulate", "--nodes", "2", "--n", "10", "--reps", "1"], 4,
+         "simulation aborted: could not draw an identified query"),
+        (["simulate", "--nodes", "4", "--n", "50", "--reps", "1", "--out", "unwritable"], 3,
+         "input error: "),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [case for cases in _CONTRACT.values() for case in cases],
+    ids=[f"{cmd}-{k}" for cmd, cases in _CONTRACT.items() for k in range(len(cases))],
+)
+def test_cli_exit_code_contract(capsys, contract_files, argv, code, prefix):
+    got, out, err = _run(capsys, *(contract_files.get(a, a) for a in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1, err
