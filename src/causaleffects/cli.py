@@ -209,7 +209,6 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         rescale=args.rescale,
         family=args.family,
-        per_vertex_families=args.per_vertex_families,
     )
     if args.out:
         report.write_csv(args.out)
@@ -257,8 +256,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--reps", type=int, default=100)
     ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--rescale", action="store_true")
-    ps.add_argument("--family", choices=ERROR_FAMILIES)
-    ps.add_argument("--per-vertex-families", action="store_true")
+    ps.add_argument("--family", choices=ERROR_FAMILIES + ("mixed",))
     ps.add_argument("--out", help="per-replication CSV path")
     ps.set_defaults(func=_cmd_simulate)
     return parser

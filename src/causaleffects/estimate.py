@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, GraphValidationError, IllConditionedError
 from .graph import BucketDecomposition, Pdag
-from .identify import IdentificationPlan, build_plan
+from .identify import IdentificationPlan, _check_treatment, build_plan
 
 __all__ = [
     "COND_LIMIT",
@@ -314,32 +314,30 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
 
 
 def _effect_matrices(plan: IdentificationPlan, blocks):
-    """Lambda_{A,D}, (I - Lambda_{D,D})^{-1} and index bookkeeping from the
-    coefficient blocks of the plan's buckets (aligned with
-    ``plan.bucket_order``).  Blocks may carry leading stack axes; the
-    outputs then carry the same ones."""
-    a_pos = {v: i for i, v in enumerate(plan.treatment)}
-    d_pos = {v: i for i, v in enumerate(plan.d_set)}
-    stack = blocks[0].shape[:-2]
-    lam_ad = np.zeros(stack + (len(a_pos), len(d_pos)))
-    lam_dd = np.zeros(stack + (len(d_pos), len(d_pos)))
-    for k, dk, lam, pa in zip(plan.bucket_order, plan.d_buckets, blocks,
+    """Lambda_{A,D} and (I - Lambda_{D,D})^{-1} from the coefficient blocks
+    of the plan's buckets (aligned with ``plan.bucket_order``), and per plan
+    bucket where its block enters them: each parent's row in (A, D) and each
+    D member's (block column, position in D).  Blocks may carry leading
+    stack axes; the matrices then carry the same ones."""
+    n_a = len(plan.treatment)
+    row = {v: i for i, v in enumerate(plan.treatment + plan.d_set)}
+    lam = np.zeros(blocks[0].shape[:-2] + (len(row), len(plan.d_set)))
+    coords = []
+    for k, dk, blk, pa in zip(plan.bucket_order, plan.d_buckets, blocks,
                               plan.parents_per_bucket):
-        cols = {v: i for i, v in enumerate(plan.buckets.buckets[k])}
-        for v in dk:
-            j = d_pos[v]
-            for i, u in enumerate(pa):
-                val = lam[..., i, cols[v]]
-                if u in a_pos:
-                    lam_ad[..., a_pos[u], j] = val
-                elif u in d_pos:
-                    lam_dd[..., d_pos[u], j] = val
-                # parents outside A and D carry no weight in the effect
+        col = {v: j for j, v in enumerate(plan.buckets.buckets[k])}
+        rows = [row[u] for u in pa]  # build_plan puts every parent in A or D
+        cols = [(col[v], row[v] - n_a) for v in dk]
+        for j, d in cols:
+            for i, r in enumerate(rows):
+                lam[..., r, d] = blk[..., i, j]
+        coords.append((rows, cols))
+    lam_dd = lam[..., n_a:, :]
+    eye = np.eye(len(plan.d_set))
     # the right-hand side carries the stack axes too: numpy < 2 would read a
     # 2-d one beside a 3-d left-hand side as a stack of vectors
-    eye = np.eye(len(d_pos))
     m = np.linalg.solve(eye - lam_dd, np.broadcast_to(eye, lam_dd.shape))
-    return lam_ad, m, a_pos, d_pos
+    return lam[..., :n_a, :], m, coords
 
 
 def _assemble_effect(model: BlockRecursiveModel, plan: IdentificationPlan):
@@ -359,8 +357,8 @@ def effect_from_lambda(model: BlockRecursiveModel, plan: IdentificationPlan) -> 
     treatment coordinate.  Coefficients without a corresponding directed
     edge are zero by construction, so an outcome outside the possible
     descendants of the treatment yields exactly zero."""
-    lam_ad, m, _, d_pos = _assemble_effect(model, plan)
-    return lam_ad @ m[:, d_pos[plan.outcome]]
+    lam_ad, m, _ = _assemble_effect(model, plan)
+    return lam_ad @ m[:, plan.d_set.index(plan.outcome)]
 
 
 def effect_gradients(
@@ -376,24 +374,21 @@ def effect_gradients(
     D are zero.  Buckets that do not meet D are omitted (all-zero
     gradient).
     """
-    lam_ad, m, a_pos, d_pos = _assemble_effect(model, plan)
-    r = lam_ad @ m
-    mcol = m[:, d_pos[plan.outcome]]
+    lam_ad, m, coords = _assemble_effect(model, plan)
     n_a = len(plan.treatment)
+    r = lam_ad @ m
+    mcol = m[:, plan.d_set.index(plan.outcome)]
     grads: dict[int, np.ndarray] = {}
-    for k, dk in zip(plan.bucket_order, plan.d_buckets):
-        bucket = model.buckets.buckets[k]
-        parents = model.parents(k)
-        c = np.zeros((n_a, len(parents)))
-        for i, u in enumerate(parents):
-            if u in a_pos:
-                c[a_pos[u], i] = 1.0
-            elif u in d_pos:
-                c[:, i] = r[:, d_pos[u]]
-        mb = np.zeros(len(bucket))
-        cols = {v: i for i, v in enumerate(bucket)}
-        for v in dk:
-            mb[cols[v]] = mcol[d_pos[v]]
+    for k, (rows, cols) in zip(plan.bucket_order, coords):
+        c = np.zeros((n_a, len(rows)))
+        for i, row in enumerate(rows):
+            if row < n_a:
+                c[row, i] = 1.0
+            else:
+                c[:, i] = r[:, row - n_a]
+        mb = np.zeros(len(plan.buckets.buckets[k]))
+        for j, d in cols:
+            mb[j] = mcol[d]
         grads[k] = np.einsum("ti,b->tib", c, mb)
     return grads
 
@@ -434,30 +429,18 @@ def delta_method_acov(
     return _sandwich(grads, model.omega_blocks, plan, cov, len(plan.treatment))
 
 
-def efficiency_bound(
-    model_g: BlockRecursiveModel,
-    model_gbar: BlockRecursiveModel,
-    plan: IdentificationPlan,
-    cov: SampleCovariance,
-    w: np.ndarray,
-) -> float:
+def efficiency_bound(plan: IdentificationPlan, cov: SampleCovariance, w: np.ndarray) -> float:
     """Lower bound on the asymptotic variance of any regular estimator of
     w' tau that uses the graph and the covariance alone:
 
         sum_k  h_k' [ Omega_k (x) (Sigma_{Pa(B_k)})^{-1} ] h_k ,
 
-    with gradients h_k taken from the :func:`g_regression` model and
-    Omega_k from the :func:`gbar_regression` model (the residual blocks of
-    the saturated parameterization).  Evaluated at the truth this equals
+    with gradients h_k from the :func:`g_regression` of ``cov`` for ``plan``
+    and Omega_k from its :func:`gbar_regression` (the residual blocks of the
+    saturated parameterization).  Evaluated at the truth this equals
     ``w' delta_method_acov(...) w``, which is how the bound is attained.
     """
-    if model_gbar.buckets != _saturated(plan.buckets):
-        raise GraphValidationError(
-            "efficiency_bound expects a gbar_regression model of the plan's "
-            "buckets as its second model"
-        )
-    if any(model_gbar.omega_blocks[k] is None for k in plan.bucket_order):
-        raise GraphValidationError("second model does not hold every bucket of the plan")
+    model_g, model_gbar = g_regression(cov, plan), gbar_regression(cov, plan)
     w = np.asarray(w, dtype=float)
     grads = {k: np.einsum("t,tib->ib", w, h)[None]
              for k, h in effect_gradients(model_g, plan).items()}
@@ -525,8 +508,9 @@ def adjustment_estimate(
     restricted to the treatment block.  Only valid adjustment sets make
     this consistent; the function does not check validity.
     """
-    treatment = tuple(treatment)
-    adjust = tuple(adjust)
+    treatment, adjust = _check_treatment(treatment), tuple(adjust)
+    if len(set(adjust)) != len(adjust):
+        raise GraphValidationError("adjustment set labels must be distinct")
     overlap = (set(treatment) | {outcome}) & set(adjust)
     if overlap:
         raise GraphValidationError(
@@ -603,12 +587,14 @@ def bootstrap_ci(
 
     Returns ``(lower, upper, boot_acov, n_rejected)`` where ``boot_acov``
     is n times the covariance of the replicate estimates (the bootstrap
-    counterpart of the delta-method acov).  ``n_boot`` below 2 raises
-    :class:`GraphValidationError`: one replicate has no spread, and so does
-    a seed outside [0, 2**64).  Data that :func:`sample_covariance` refuses
-    are refused before any draw.
+    counterpart of the delta-method acov).  ``n_boot`` below 2 or not an
+    integer raises :class:`GraphValidationError` (one replicate has no
+    spread), and so does a seed outside [0, 2**64).  Data that
+    :func:`sample_covariance` refuses are refused before any draw.
     """
     _check_seed(seed)
+    if not isinstance(n_boot, (int, np.integer)):
+        raise GraphValidationError(f"n_boot must be an integer, got {n_boot!r}")
     if n_boot < 2:
         raise GraphValidationError(f"need at least 2 bootstrap replicates, got {n_boot}")
     if not 0.0 < level < 1.0:
@@ -624,6 +610,7 @@ def bootstrap_ci(
     col = {v: i for i, v in enumerate(columns)}
     sub = np.array([col[v] for v in labels], dtype=int)
     local = {v: i for i, v in enumerate(labels)}
+    y = plan.d_set.index(plan.outcome)
     base = np.random.Philox(key=np.uint64(seed))
     taus = np.empty((n_boot, len(plan.treatment)))
     got = 0
@@ -647,8 +634,8 @@ def bootstrap_ci(
             kept[r] = True
         stream += need
         lambdas, _, ok = _fit_stack(stack[kept], plan.buckets, plan.bucket_order, local, False)
-        lam_ad, m, _, d_pos = _effect_matrices(plan, [lambdas[k][ok] for k in plan.bucket_order])
-        boot = (lam_ad @ m[:, :, d_pos[plan.outcome], None])[:, :, 0]
+        lam_ad, m, _ = _effect_matrices(plan, [lambdas[k][ok] for k in plan.bucket_order])
+        boot = (lam_ad @ m[:, :, y, None])[:, :, 0]
         taus[got:got + len(boot)] = boot
         got += len(boot)
         # a batch with a rejection leaves replicates to draw, so only the
@@ -690,6 +677,8 @@ def estimate_total_effect(
     """
     if (data is None) == (cov is None):
         raise GraphValidationError("pass exactly one of data= or cov=")
+    if n_boot and data is None:
+        raise GraphValidationError("bootstrap intervals need raw data, not cov=")
     if data is not None:
         columns = tuple(columns) if columns is not None else graph.vertices
         cov = sample_covariance(data, columns, center=center)
@@ -706,8 +695,6 @@ def estimate_total_effect(
         seed=seed if n_boot else None,
     )
     if n_boot:
-        if data is None:
-            raise GraphValidationError("bootstrap intervals need raw data, not cov=")
         est.ci_level = level
         est.ci_lower, est.ci_upper, est.boot_acov, est.boot_rejected = bootstrap_ci(
             data, columns, plan, n_boot=n_boot, level=level, seed=seed, center=center,

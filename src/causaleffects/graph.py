@@ -744,7 +744,8 @@ def graph_from_dict(d: dict, strict: bool = False) -> Pdag:
 
 
 def load_graph(path, strict: bool = False) -> Pdag:
-    with open(path, "r", encoding="utf-8") as fh:
+    """:func:`graph_from_dict` of a JSON file; a byte-order mark is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return graph_from_dict(json.load(fh), strict=strict)
 
 

@@ -46,12 +46,17 @@ class IdentificationPlan:
     buckets: BucketDecomposition
 
 
-def _check_query(g: Pdag, treatment: Iterable[str], outcome: str) -> tuple[str, ...]:
+def _check_treatment(treatment: Iterable[str]) -> tuple[str, ...]:
     treatment = tuple(treatment)
     if not treatment:
         raise GraphValidationError("treatment set is empty")
     if len(set(treatment)) != len(treatment):
         raise GraphValidationError("treatment labels must be distinct")
+    return treatment
+
+
+def _check_query(g: Pdag, treatment: Iterable[str], outcome: str) -> tuple[str, ...]:
+    treatment = _check_treatment(treatment)
     for v in treatment:
         g.index(v)
     g.index(outcome)

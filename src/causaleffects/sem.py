@@ -151,42 +151,46 @@ def random_dag(p: int, expected_degree: float, rng: np.random.Generator) -> Pdag
     return Pdag(labels, edges, ())
 
 
+def _check_family(family) -> None:
+    if family not in (None, "mixed", *ERROR_FAMILIES):
+        raise GraphValidationError(
+            f"unknown error family {family!r}; expected None, 'mixed' or one of "
+            f"{', '.join(ERROR_FAMILIES)}"
+        )
+
+
 def random_sem(
     dag: Pdag,
     rng: np.random.Generator,
     rescale: bool = False,
     family: str | None = None,
-    per_vertex_families: bool = False,
 ) -> LinearSem:
     """Draw coefficients and error specs for ``dag``.
 
-    Coefficients are uniform on [-2, -0.1] + [0.1, 2].  One error family is
-    drawn for the whole SEM unless ``family`` pins it or
-    ``per_vertex_families`` draws one per vertex.  With ``rescale=True``,
-    incoming coefficients are shrunk, in causal order, so each implied
-    marginal variance stays at most max(6, error variance + 0.25); this
-    keeps the variance profile flat without zeroing any edge.
+    Coefficients are uniform on [-2, -0.1] + [0.1, 2].  ``family=None``
+    draws one error family for the whole SEM, a name from
+    :data:`ERROR_FAMILIES` pins it, and ``"mixed"`` draws one family per
+    vertex; anything else raises :class:`GraphValidationError`.  With
+    ``rescale=True``, incoming coefficients are shrunk, in causal order, so
+    each implied marginal variance stays at most max(6, error variance +
+    0.25); this keeps the variance profile flat without zeroing any edge.
     """
+    _check_family(family)
     p = dag.n_vertices
     gamma = np.zeros((p, p))
     for u, v in dag.directed_edges:
         mag = rng.uniform(0.1, 2.0)
         gamma[dag.index(u), dag.index(v)] = mag if rng.random() < 0.5 else -mag
 
-    def draw_spec():
-        fam = family
-        if fam is None:
-            fam = ERROR_FAMILIES[rng.integers(len(ERROR_FAMILIES))]
-        return fam, _FAMILIES[fam][0]
+    def draw_family():
+        return ERROR_FAMILIES[rng.integers(len(ERROR_FAMILIES))]
 
-    if per_vertex_families and family is None:
-        specs = []
-        for _ in range(p):
-            fam, (lo, hi) = draw_spec()
-            specs.append(ErrorSpec(fam, float(rng.uniform(lo, hi))))
-    else:
-        fam, (lo, hi) = draw_spec()
-        specs = [ErrorSpec(fam, float(rng.uniform(lo, hi))) for _ in range(p)]
+    shared = None if family == "mixed" else family or draw_family()
+    specs = []
+    for _ in range(p):
+        fam = shared or draw_family()
+        lo, hi = _FAMILIES[fam][0]
+        specs.append(ErrorSpec(fam, float(rng.uniform(lo, hi))))
     sem = LinearSem(dag, gamma, tuple(specs))
 
     if rescale:
@@ -291,12 +295,27 @@ def sem_to_dict(sem: LinearSem) -> dict:
 
 
 def sem_from_dict(d: dict) -> LinearSem:
+    """Build a SEM from the JSON structure of :func:`sem_to_dict`:
+    ``{"graph": {...}, "coefficients": [[u, v, value], ...],
+    "errors": [{"family": ..., "param": ...}, ...]}``.  A missing or
+    malformed field raises :class:`GraphValidationError` naming it."""
+    if not isinstance(d, dict):
+        raise GraphValidationError("SEM JSON must be an object")
+    for key in ("graph", "coefficients", "errors"):
+        if key not in d:
+            raise GraphValidationError(f"SEM JSON is missing the {key!r} field")
     g = graph_from_dict(d["graph"])
     p = g.n_vertices
     gamma = np.zeros((p, p))
-    for u, v, val in d["coefficients"]:
-        gamma[g.index(u), g.index(v)] = float(val)
-    errors = tuple(ErrorSpec(e["family"], float(e["param"])) for e in d["errors"])
+    try:
+        for u, v, val in d["coefficients"]:
+            gamma[g.index(u), g.index(v)] = float(val)
+    except (TypeError, ValueError):
+        raise GraphValidationError("'coefficients' must be an array of [u, v, value]") from None
+    try:
+        errors = tuple(ErrorSpec(e["family"], float(e["param"])) for e in d["errors"])
+    except (TypeError, ValueError, KeyError):
+        raise GraphValidationError("'errors' must be an array of {family, param}") from None
     return LinearSem(g, gamma, errors)
 
 
@@ -307,5 +326,6 @@ def save_sem(sem: LinearSem, path) -> None:
 
 
 def load_sem(path) -> LinearSem:
-    with open(path, "r", encoding="utf-8") as fh:
+    """:func:`sem_from_dict` of a JSON file; a byte-order mark is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return sem_from_dict(json.load(fh))

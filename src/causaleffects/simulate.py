@@ -27,12 +27,12 @@ from .estimate import (
     effect_from_lambda,
     efficiency_bound,
     g_regression,
-    gbar_regression,
     sample_covariance,
 )
 from .graph import cpdag_from_dag, possible_descendants
 from .identify import build_plan
-from .sem import random_dag, random_sem, rng_from_seed, sample, true_effect_blockform
+from .sem import (_check_family, random_dag, random_sem, rng_from_seed, sample,
+                  true_effect_blockform)
 
 __all__ = ["REPORT_HEADER", "CSV_COLUMNS", "SimReport", "run_simulation"]
 
@@ -105,10 +105,9 @@ def _draw_query(dag, cpdag, treat_size, rng):
     for redraw in range(_AY_REDRAW_CAP):
         picks = rng.choice(len(candidates), treat_size, replace=False)
         treatment = tuple(dag.vertices[i] for i in sorted(candidates[t] for t in picks))
-        # on a DAG: the treatment and its descendants
+        # on a DAG: the treatment and its descendants; never empty, since the
+        # treatment's last vertex in causal order has a child outside it
         pool = sorted(map(dag.index, possible_descendants(dag, treatment).difference(treatment)))
-        if not pool:
-            continue
         outcome = dag.vertices[pool[rng.integers(len(pool))]]
         try:
             return build_plan(cpdag, treatment, outcome), redraw
@@ -120,18 +119,9 @@ def _draw_query(dag, cpdag, treat_size, rng):
 def _population_avar_ratio(sem, plan, z):
     """Population OLS-adjustment avar over the efficiency bound, both exact."""
     sigma = SampleCovariance(sem.implied_covariance(), sem.graph.vertices)
-    bound = efficiency_bound(
-        g_regression(sigma, plan),
-        gbar_regression(sigma, plan),
-        plan,
-        sigma,
-        np.ones(1),
-    )
+    bound = efficiency_bound(plan, sigma, np.ones(1))
     adj = _adjustment_from_cov(sigma, plan.treatment, plan.outcome, tuple(z))
-    avar_adj = float(adj.acov[0, 0])
-    if bound <= 1e-12:
-        return None
-    return avar_adj / bound
+    return None if bound <= 1e-12 else float(adj.acov[0, 0]) / bound
 
 
 def run_simulation(
@@ -142,7 +132,6 @@ def run_simulation(
     seed: int,
     rescale: bool = False,
     family: str | None = None,
-    per_vertex_families: bool = False,
 ) -> SimReport:
     """Run the benchmark; deterministic in ``seed`` (each replication uses
     its own counter-derived stream).  Each replication builds one
@@ -153,9 +142,10 @@ def run_simulation(
     the g-regression estimate and the adjustment baseline.  A seed outside
     [0, 2**64) raises :class:`GraphValidationError`, and so, before any
     draw, do fewer than two vertices, a treatment size outside
-    [1, n_vertices), a sample size n <= n_vertices and fewer than one
-    replication."""
+    [1, n_vertices), a sample size n <= n_vertices, fewer than one
+    replication and a ``family`` that :func:`random_sem` refuses."""
     _check_seed(seed)
+    _check_family(family)
     if n_vertices < 2:
         raise GraphValidationError(f"need at least two vertices, got {n_vertices}")
     if not 1 <= treat_size < n_vertices:
@@ -177,7 +167,6 @@ def run_simulation(
             "seed": seed,
             "rescale": rescale,
             "family": family,
-            "per_vertex_families": per_vertex_families,
         }
     )
     for rep in range(reps):
@@ -187,10 +176,7 @@ def run_simulation(
             degree = int(rng.integers(2, 6))
             dag = random_dag(n_vertices, degree, rng)
             cpdag = cpdag_from_dag(dag)
-            sem = random_sem(
-                dag, rng, rescale=rescale, family=family,
-                per_vertex_families=per_vertex_families,
-            )
+            sem = random_sem(dag, rng, rescale=rescale, family=family)
             query = _draw_query(dag, cpdag, treat_size, rng)
             if query is not None:
                 break
@@ -217,7 +203,7 @@ def run_simulation(
             "n_vertices": n_vertices,
             "treat_size": treat_size,
             "expected_degree": degree,
-            "family": sem.errors[0].family if not per_vertex_families else "mixed",
+            "family": "mixed" if family == "mixed" else sem.errors[0].family,
             "rescale": int(rescale),
             "n": n,
             "treatment": ";".join(treatment),

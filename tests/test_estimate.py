@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -270,10 +272,9 @@ def test_efficiency_bound_equals_weighted_acov_at_population(rng):
         cov = SampleCovariance(sem.implied_covariance(), dag.vertices)
         plan = build_plan(g, a, y)
         model_g = g_regression(cov, plan.buckets)
-        model_gbar = gbar_regression(cov, plan.buckets)
         acov = delta_method_acov(model_g, plan, cov)
         w = rng.normal(size=len(a))
-        bound = efficiency_bound(model_g, model_gbar, plan, cov, w)
+        bound = efficiency_bound(plan, cov, w)
         assert bound == pytest.approx(float(w @ acov @ w), abs=1e-9, rel=1e-9)
         checked += 1
     assert checked >= 8
@@ -281,8 +282,7 @@ def test_efficiency_bound_equals_weighted_acov_at_population(rng):
 
 def test_variance_forms_check_which_model_they_get(three_bucket_graph):
     """The gbar model carries the saturated buckets (prefix parents), so
-    delta_method_acov refuses it, and efficiency_bound refuses a g model in
-    its place, or a gbar model fitted for another plan of the graph."""
+    delta_method_acov refuses it; efficiency_bound fits both models itself."""
     g = three_bucket_graph
     plan = build_plan(g, ("1",), "5")
     cov = sample_covariance(rng_from_seed(8).normal(size=(50, 6)), g.vertices)
@@ -292,14 +292,7 @@ def test_variance_forms_check_which_model_they_get(three_bucket_graph):
     assert model_gbar.parents(2) != model_g.parents(2)
     with pytest.raises(GraphValidationError, match="different bucket decompositions"):
         delta_method_acov(model_gbar, plan, cov)
-    with pytest.raises(GraphValidationError, match="gbar_regression model"):
-        efficiency_bound(model_g, model_g, plan, cov, np.ones(1))
-    with pytest.raises(GraphValidationError, match="different bucket decompositions"):
-        efficiency_bound(model_gbar, model_gbar, plan, cov, np.ones(1))
-    other = gbar_regression(cov, build_plan(g, ("1",), "3"))
-    with pytest.raises(GraphValidationError, match="does not hold every bucket"):
-        efficiency_bound(model_g, other, plan, cov, np.ones(1))
-    assert efficiency_bound(model_g, model_gbar, plan, cov, np.ones(1)) > 0
+    assert efficiency_bound(plan, cov, np.ones(1)) > 0
 
 
 def test_population_g_regression_never_beaten_by_adjustment(rng):
@@ -366,6 +359,50 @@ def test_estimate_requires_exactly_one_input_source(chain_sem, rng):
         estimate_total_effect(g, ("a",), "y", cov=cov, n_boot=100)
     with pytest.raises(DegenerateSampleError):
         estimate_total_effect(g, ("a",), "y", data=data, columns=("a", "m"))
+
+
+def test_estimate_refuses_a_bootstrap_on_cov_before_fitting(chain_sem, monkeypatch):
+    g = chain_sem.graph
+    cov = SampleCovariance(chain_sem.implied_covariance(), g.vertices)
+
+    def no_fit(*args):
+        raise AssertionError("fitted before refusing the bootstrap")
+
+    monkeypatch.setattr("causaleffects.estimate.g_regression", no_fit)
+    with pytest.raises(GraphValidationError, match="bootstrap intervals need raw data"):
+        estimate_total_effect(g, ("a",), "y", cov=cov, n_boot=100)
+
+
+@pytest.mark.parametrize(
+    "treatment, adjust, message",
+    [
+        ((), ("c",), "treatment set is empty"),
+        (("a", "a"), ("c",), "treatment labels must be distinct"),
+        (("a",), ("c", "c"), "adjustment set labels must be distinct"),
+        (("a",), ("c", "a"), "adjustment set overlaps treatment/outcome"),
+        (("a",), ("y",), "adjustment set overlaps treatment/outcome"),
+        (("a", "y"), ("c",), "outcome cannot be part of the treatment set"),
+    ],
+)
+def test_adjustment_refuses_malformed_sets(confounder_sem, treatment, adjust, message):
+    data = sample(confounder_sem, 100, rng_from_seed(2))
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        adjustment_estimate(data, confounder_sem.graph.vertices, treatment, "y", adjust)
+
+
+def test_regressions_refuse_a_model_or_covariance_that_does_not_fit(three_bucket_graph):
+    g = three_bucket_graph
+    plan = build_plan(g, ("1",), "5")
+    cov = sample_covariance(rng_from_seed(8).normal(size=(50, 6)), g.vertices)
+    other = SampleCovariance(cov.matrix, ("1", "2", "3", "4", "5", "x"))
+    for fit in (g_regression, gbar_regression):
+        with pytest.raises(GraphValidationError, match="cover different vertex sets"):
+            fit(other, plan)
+    # fitted for another plan of the same graph: bucket {5, 6} is missing
+    partial = g_regression(cov, build_plan(g, ("1",), "3"))
+    for read in (effect_from_lambda, effect_gradients):
+        with pytest.raises(GraphValidationError, match="does not hold every bucket"):
+            read(partial, plan)
 
 
 def test_estimate_propagates_not_identified():
@@ -453,7 +490,7 @@ def test_solve_refuses_non_positive_definite(a):
     assert exc.value.cond == float("inf")
 
 
-@pytest.mark.parametrize("n_boot", [-1, 0, 1])
+@pytest.mark.parametrize("n_boot", [-1, 0, 1, 2.5])
 def test_bootstrap_needs_two_replicates(chain_sem, n_boot):
     data = sample(chain_sem, 200, rng_from_seed(11))
     g = chain_sem.graph
@@ -462,6 +499,22 @@ def test_bootstrap_needs_two_replicates(chain_sem, n_boot):
         bootstrap_ci(data, g.vertices, plan, n_boot=n_boot)
     est = estimate_total_effect(g, ("a",), "y", data=data, n_boot=0)
     assert est.ci_lower is None and est.boot_acov is None
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(level=0.0), r"confidence level must be in \(0, 1\), got 0.0"),
+        (dict(level=1.0), r"confidence level must be in \(0, 1\), got 1.0"),
+        (dict(columns=("a", "m", "z")), "data columns and plan cover different vertex sets"),
+    ],
+)
+def test_bootstrap_refuses_bad_arguments(chain_sem, kwargs, message):
+    g = chain_sem.graph
+    kw = {"data": sample(chain_sem, 200, rng_from_seed(11)), "columns": g.vertices,
+          "plan": build_plan(g, ("a",), "y"), "n_boot": 20, **kwargs}
+    with pytest.raises(GraphValidationError, match=message):
+        bootstrap_ci(**kw)
 
 
 def test_bootstrap_is_deterministic(chain_sem):

@@ -473,6 +473,13 @@ def test_ancestors_running_example(three_bucket_graph):
     assert ancestors_in_subgraph(three_bucket_graph, "5", removed=("4",)) == {"5"}
 
 
+def test_reachability_refuses_an_outcome_it_cannot_reach(three_bucket_graph):
+    with pytest.raises(GraphValidationError, match="among the removed vertices"):
+        ancestors_in_subgraph(three_bucket_graph, "5", removed=("4", "5"))
+    with pytest.raises(GraphValidationError, match="outcome cannot be part of the treatment"):
+        proper_undirected_start_path(three_bucket_graph, ("1", "5"), "5")
+
+
 def test_possible_descendants_running_example(three_bucket_graph):
     assert possible_descendants(three_bucket_graph, ("4",)) == {"2", "3", "4", "5", "6"}
     assert possible_descendants(three_bucket_graph, ("5",)) == {"5", "6"}
@@ -620,6 +627,13 @@ def test_graph_json_roundtrip(three_bucket_graph, tmp_path):
     assert back == three_bucket_graph
     raw = json.loads(path.read_text())
     assert set(raw) == {"vertices", "directed", "undirected"}
+
+
+def test_load_graph_ignores_a_byte_order_mark(three_bucket_graph, tmp_path):
+    path = tmp_path / "g.json"
+    save_graph(three_bucket_graph, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_graph(path, strict=True) == three_bucket_graph
 
 
 def test_graph_from_dict_rejects_bad_schema():

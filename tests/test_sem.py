@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,8 @@ def test_error_variance_formulas(family, param, want):
 def test_error_spec_validation():
     with pytest.raises(GraphValidationError):
         ErrorSpec("cauchy", 1.0)
+    with pytest.raises(GraphValidationError):
+        ErrorSpec("mixed", 1.0)  # a value of random_sem's family, not a family
     with pytest.raises(GraphValidationError):
         ErrorSpec("gaussian", 0.0)
 
@@ -137,10 +141,25 @@ def test_random_sem_signs_and_family_mixing(rng):
     dag = random_dag(10, 3.0, rng)
     sem = random_sem(dag, rng)
     assert len({e.family for e in sem.errors}) == 1  # one family per draw
-    mixed = random_sem(dag, rng, per_vertex_families=True)
+    mixed = random_sem(dag, rng, family="mixed")
     assert len({e.family for e in mixed.errors}) > 1
     signs = {np.sign(v) for v in sem.gamma[sem.gamma != 0.0]}
     assert signs == {-1.0, 1.0}
+
+
+def test_random_sem_family_values(rng):
+    """None draws one family per SEM, a name pins it, "mixed" draws one per
+    vertex, and anything else is refused before any draw."""
+    dag = random_dag(10, 3.0, rng)
+    for family in ERROR_FAMILIES:
+        assert {e.family for e in random_sem(dag, rng, family=family).errors} == {family}
+    mixed = {e.family for _ in range(5) for e in random_sem(dag, rng, family="mixed").errors}
+    assert mixed == set(ERROR_FAMILIES)
+    twin = copy.deepcopy(rng)
+    for bad in ("foo", "Gaussian", 3):
+        with pytest.raises(GraphValidationError, match="expected None, 'mixed' or one of"):
+            random_sem(dag, rng, family=bad)
+    assert rng.random() == twin.random()  # nothing was drawn
 
 
 def test_rescale_caps_variance_spread(rng):
@@ -210,7 +229,7 @@ def test_blockform_equals_pathsum_and_cut_matrix(rng):
 
 def test_sem_roundtrip(tmp_path, rng):
     dag = random_dag(6, 2.5, rng)
-    sem = random_sem(dag, rng, per_vertex_families=True)
+    sem = random_sem(dag, rng, family="mixed")
     path = tmp_path / "sem.json"
     save_sem(sem, path)
     back = load_sem(path)
@@ -221,3 +240,47 @@ def test_sem_roundtrip(tmp_path, rng):
     d = sem_to_dict(sem)
     assert len(d["coefficients"]) == len(dag.directed_edges)
     assert sem_from_dict(d).errors == sem.errors
+
+
+def test_load_sem_ignores_a_byte_order_mark(tmp_path, rng):
+    sem = random_sem(random_dag(5, 2.0, rng), rng)
+    path = tmp_path / "sem.json"
+    save_sem(sem, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = load_sem(path)
+    assert back.graph == sem.graph and back.errors == sem.errors
+    assert np.array_equal(back.gamma, sem.gamma)
+
+
+def _sem_dict():
+    return sem_to_dict(LinearSem(
+        Pdag(("a", "b"), (("a", "b"),)), np.array([[0.0, 0.5], [0.0, 0.0]]),
+        (ErrorSpec("gaussian", 1.0), ErrorSpec("uniform", 1.5)),
+    ))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: [d], "SEM JSON must be an object"),
+        (lambda d: {"graph": d["graph"]}, "missing the 'coefficients' field"),
+        (lambda d: {k: v for k, v in d.items() if k != "graph"}, "missing the 'graph' field"),
+        (lambda d: {k: v for k, v in d.items() if k != "errors"}, "missing the 'errors' field"),
+        (lambda d: {**d, "graph": None}, "graph JSON must be an object"),
+        (lambda d: {**d, "coefficients": 5}, "'coefficients' must be an array"),
+        (lambda d: {**d, "coefficients": [["a", "b"]]}, "'coefficients' must be an array"),
+        (lambda d: {**d, "coefficients": [["a", "b", "x"]]}, "'coefficients' must be an array"),
+        (lambda d: {**d, "coefficients": [["a", "q", 1.0]]}, "unknown vertex label 'q'"),
+        (lambda d: {**d, "coefficients": [["b", "a", 1.0]]}, "off the edge set"),
+        (lambda d: {**d, "errors": None}, "'errors' must be an array"),
+        (lambda d: {**d, "errors": [{"family": "gaussian"}] * 2}, "'errors' must be an array"),
+        (lambda d: {**d, "errors": ["gaussian", "uniform"]}, "'errors' must be an array"),
+        (lambda d: {**d, "errors": d["errors"][:1]}, "one error spec per vertex"),
+        (lambda d: {**d, "errors": [{"family": "mixed", "param": 1.0}] * 2},
+         "unknown error family 'mixed'"),
+    ],
+)
+def test_sem_from_dict_names_a_missing_or_malformed_field(edit, message):
+    assert sem_from_dict(_sem_dict()).errors[1] == ErrorSpec("uniform", 1.5)
+    with pytest.raises(GraphValidationError, match=message):
+        sem_from_dict(edit(_sem_dict()))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from causaleffects import (
+    ERROR_FAMILIES,
     GraphValidationError,
     Mpdag,
     Pdag,
@@ -87,6 +88,26 @@ def test_simulation_joint_treatment_skips_adjustment():
     assert rep.summary["adjustment"] is None
     assert all("sq_err_adjustment" not in r for r in rep.records)
     assert all(len(r["treatment"].split(";")) == 2 for r in rep.records)
+
+
+@pytest.mark.parametrize("family", [None, "gaussian", "mixed"])
+def test_simulation_records_the_family(family):
+    rep = run_simulation(n_vertices=5, treat_size=1, n=120, reps=4, seed=6, family=family)
+    assert rep.params["family"] == family and "per_vertex_families" not in rep.params
+    labels = {r["family"] for r in rep.records}
+    if family is None:
+        assert labels <= set(ERROR_FAMILIES)
+    else:
+        assert labels == {family}
+
+
+def test_simulation_refuses_an_unknown_family_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("run_simulation drew before checking its arguments")
+
+    monkeypatch.setattr("causaleffects.simulate.rng_from_seed", no_draws)
+    with pytest.raises(GraphValidationError, match="unknown error family 'foo'; expected"):
+        run_simulation(n_vertices=6, treat_size=1, n=100, reps=2, seed=0, family="foo")
 
 
 def test_simulation_csv_layout(tmp_path):
@@ -360,6 +381,14 @@ def test_cli_estimate_names_a_ragged_row(capsys, tmp_path, chain_graph_file, bod
     assert code == 3 and f"data row {row} has {fields} fields, the header has 3" in err
 
 
+def test_cli_id_ignores_a_byte_order_mark(capsys, tmp_path, chain_graph_file):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(chain_graph_file).read_bytes())
+    runs = [_run(capsys, "id", "--graph", g, "--treat", "a", "--outcome", "y")
+            for g in (chain_graph_file, str(path))]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("n_boot", ["-1", "1"])
 def test_cli_estimate_rejects_too_few_replicates(
     capsys, chain_graph_file, chain_data_file, n_boot
@@ -448,6 +477,14 @@ def test_cli_simulate_writes_report(capsys, tmp_path):
     assert side == stdout_summary
 
 
+def test_cli_simulate_mixed_family(capsys):
+    code, out, _ = _run(capsys, "simulate", "--nodes", "5", "--reps", "3", "--n", "120",
+                        "--seed", "4", "--family", "mixed")
+    rep = run_simulation(n_vertices=5, treat_size=1, n=120, reps=3, seed=4, family="mixed")
+    assert code == 0 and json.loads(out) == json.loads(rep.summary_json())
+    assert json.loads(out)["params"]["family"] == "mixed"
+
+
 def test_cli_simulate_deterministic(capsys, tmp_path):
     argv = ["simulate", "--nodes", "4", "--reps", "3", "--n", "100", "--seed", "9"]
     code1, out1, _ = _run(capsys, *argv)
@@ -517,6 +554,10 @@ def contract_files(tmp_path, three_bucket_graph, side_collider, chain_sem):
     Path(paths["latin1_data"]).write_bytes("a,m,y\n1,2,3\n\u00e9,1,2\n".encode("latin-1"))
     paths["wide_data"] = str(tmp_path / "wide.csv")  # one field past csv's size limit
     Path(paths["wide_data"]).write_text("a,m,y\n1,2," + "3" * 200_000 + "\n")
+    for name, text in (("empty_data", "\n\n"), ("extra_data", "a,m,y,z\n1,2,3,4\n"),
+                       ("dup_data", "a,m,y,y\n1,2,3,4\n")):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        Path(paths[name]).write_text(text)
     return paths
 
 
@@ -557,6 +598,10 @@ _CONTRACT = {
         (_estimate("chain", "data", "a", "y", "--level", "high"), 3, "input error: "),
         (_estimate("collider", "ill", "z1", "w"), 4, "numeric failure: "),
         (_estimate("chain", "data", "a", "y", "--out", "unwritable"), 3, "input error: "),
+        (_estimate("chain", "empty_data"), 3, "input error: data file is empty"),
+        (_estimate("chain", "extra_data"), 3,
+         "input error: data columns do not match the graph: columns ['z'] are not graph"),
+        (_estimate("chain", "dup_data"), 3, "input error: duplicate data columns"),
     ],
     "simulate": [
         (["simulate", "--nodes", "1"], 3, "bad input: "),
