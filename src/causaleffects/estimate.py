@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError, GraphValidationError, IllConditionedError
-from .graph import BucketDecomposition, Pdag
-from .identify import IdentificationPlan, _check_treatment, build_plan
+from .graph import BucketDecomposition, Pdag, _check_treatment
+from .identify import IdentificationPlan, build_plan
 
 __all__ = [
     "COND_LIMIT",
@@ -287,28 +287,18 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
             "were not fitted"
         )
     buckets = model.buckets
-    order = buckets.vertex_order
-    pos = {v: i for i, v in enumerate(order)}
-    p = len(order)
-    s = np.zeros((p, p))
+    pos = {v: i for i, v in enumerate(buckets.vertex_order)}
+    s = np.zeros((len(pos), len(pos)))
     prefix: list[int] = []
     for k, bucket in enumerate(buckets.buckets):
         bi = [pos[v] for v in bucket]
+        pa = [pos[v] for v in model.parents(k)]  # all in the prefix
         lam = model.lambda_blocks[k]
-        # embed the block over the full prefix (zero rows off the parent set)
-        lam_full = np.zeros((len(prefix), len(bucket)))
-        if lam.shape[0]:
-            ppos = {v: i for i, v in enumerate(order[j] for j in prefix)}
-            rows = [ppos[v] for v in model.parents(k)]
-            lam_full[rows, :] = lam
-        if prefix:
-            spp = s[np.ix_(prefix, prefix)]
-            cross = spp @ lam_full
-            s[np.ix_(prefix, bi)] = cross
-            s[np.ix_(bi, prefix)] = cross.T
-            s[np.ix_(bi, bi)] = lam_full.T @ cross + model.omega_blocks[k]
-        else:
-            s[np.ix_(bi, bi)] = model.omega_blocks[k]
+        # S[prefix, B] = S[prefix, Pa] Lambda, S[B, B] = Lambda' S[Pa, Pa] Lambda + Omega
+        cross = s[np.ix_(prefix, pa)] @ lam
+        s[np.ix_(prefix, bi)] = cross
+        s[np.ix_(bi, prefix)] = cross.T
+        s[np.ix_(bi, bi)] = lam.T @ s[np.ix_(pa, bi)] + model.omega_blocks[k]
         prefix.extend(bi)
     return s
 
@@ -508,7 +498,7 @@ def adjustment_estimate(
     restricted to the treatment block.  Only valid adjustment sets make
     this consistent; the function does not check validity.
     """
-    treatment, adjust = _check_treatment(treatment), tuple(adjust)
+    treatment, adjust = _check_treatment(treatment, outcome), tuple(adjust)
     if len(set(adjust)) != len(adjust):
         raise GraphValidationError("adjustment set labels must be distinct")
     overlap = (set(treatment) | {outcome}) & set(adjust)
@@ -516,8 +506,6 @@ def adjustment_estimate(
         raise GraphValidationError(
             f"adjustment set overlaps treatment/outcome: {sorted(overlap)}"
         )
-    if outcome in treatment:
-        raise GraphValidationError("outcome cannot be part of the treatment set")
     cov = sample_covariance(data, columns, center=center)
     return _adjustment_from_cov(cov, treatment, outcome, adjust)
 
@@ -556,6 +544,18 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_bootstrap(n_boot, level, seed) -> None:
+    """Refuse the bootstrap arguments :func:`bootstrap_ci` cannot use, with
+    :class:`GraphValidationError`."""
+    _check_seed(seed)
+    if not isinstance(n_boot, (int, np.integer)):
+        raise GraphValidationError(f"n_boot must be an integer, got {n_boot!r}")
+    if n_boot < 2:
+        raise GraphValidationError(f"need at least 2 bootstrap replicates, got {n_boot}")
+    if not 0.0 < level < 1.0:
+        raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
+
+
 def bootstrap_ci(
     data: np.ndarray,
     columns: Sequence[str],
@@ -592,13 +592,7 @@ def bootstrap_ci(
     spread), and so does a seed outside [0, 2**64).  Data that
     :func:`sample_covariance` refuses are refused before any draw.
     """
-    _check_seed(seed)
-    if not isinstance(n_boot, (int, np.integer)):
-        raise GraphValidationError(f"n_boot must be an integer, got {n_boot!r}")
-    if n_boot < 2:
-        raise GraphValidationError(f"need at least 2 bootstrap replicates, got {n_boot}")
-    if not 0.0 < level < 1.0:
-        raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
+    _check_bootstrap(n_boot, level, seed)
     if set(columns) != set(plan.buckets.vertex_order):
         raise GraphValidationError("data columns and plan cover different vertex sets")
     x = _data_matrix(data, columns)
@@ -673,16 +667,20 @@ def estimate_total_effect(
     to the graph's vertex order) or ``cov`` must be given.  Bootstrap
     intervals require raw data; ``n_boot=0`` asks for none.  Raises
     :class:`NotIdentifiedError` when the effect is not identified from
-    ``graph``.
+    ``graph``.  Arguments are checked before any work: the bootstrap's
+    first (when ``n_boot`` is not 0), then the query and its
+    identification, all before the data are read.
     """
     if (data is None) == (cov is None):
         raise GraphValidationError("pass exactly one of data= or cov=")
-    if n_boot and data is None:
-        raise GraphValidationError("bootstrap intervals need raw data, not cov=")
+    if n_boot:
+        if data is None:
+            raise GraphValidationError("bootstrap intervals need raw data, not cov=")
+        _check_bootstrap(n_boot, level, seed)
+    plan = build_plan(graph, treatment, outcome)
     if data is not None:
         columns = tuple(columns) if columns is not None else graph.vertices
         cov = sample_covariance(data, columns, center=center)
-    plan = build_plan(graph, treatment, outcome)
     model = g_regression(cov, plan)
     tau = effect_from_lambda(model, plan)
     est = EffectEstimate(

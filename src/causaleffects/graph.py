@@ -529,6 +529,29 @@ def ancestors_in_subgraph(g: Pdag, y: str, removed: Iterable[str] = ()) -> froze
     return frozenset(g.vertices[i] for i in seen)
 
 
+def _check_treatment(treatment: Iterable[str], outcome: str) -> tuple[str, ...]:
+    """``treatment`` as a tuple once it forms a query with ``outcome``: a
+    non-empty set of distinct labels without the outcome.  The rules that
+    need no graph; :func:`_check_query` adds the labels'."""
+    treatment = tuple(treatment)
+    if not treatment:
+        raise GraphValidationError("treatment set is empty")
+    if len(set(treatment)) != len(treatment):
+        raise GraphValidationError("treatment labels must be distinct")
+    if outcome in treatment:
+        raise GraphValidationError("outcome cannot be part of the treatment set")
+    return treatment
+
+
+def _check_query(g: Pdag, treatment: Iterable[str], outcome: str):
+    """The one check of a (treatment, outcome) query on ``g``: the rules of
+    :func:`_check_treatment`, and every label a vertex of ``g``.  Returns
+    the treatment's vertex indices and the outcome's; raises
+    :class:`GraphValidationError` otherwise."""
+    treatment = _check_treatment(treatment, outcome)
+    return [g.index(v) for v in treatment], g.index(outcome)
+
+
 def _rule_checked(g: Pdag) -> Pdag:
     """``g`` itself, once it is known to be rule-closed.
 
@@ -650,12 +673,12 @@ def proper_undirected_start_path(
     The identification criterion of Perkovic (UAI 2020) asks whether such a
     path exists; the returned path is the witness.  One breadth-first
     search per treatment vertex, O(sum of squared degrees) each.
+
+    A malformed query (see :func:`_check_query`) raises
+    :class:`GraphValidationError` before the graph's rule check.
     """
+    a_idx, t = _check_query(g, treatment, outcome)
     g = _rule_checked(g)
-    a_idx = [g.index(v) for v in treatment]
-    t = g.index(outcome)
-    if t in a_idx:
-        raise GraphValidationError("outcome cannot be part of the treatment set")
     a_set = set(a_idx)
     for x in a_idx:
         blocked = a_set | g._pa[x]

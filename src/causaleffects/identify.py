@@ -46,29 +46,9 @@ class IdentificationPlan:
     buckets: BucketDecomposition
 
 
-def _check_treatment(treatment: Iterable[str]) -> tuple[str, ...]:
-    treatment = tuple(treatment)
-    if not treatment:
-        raise GraphValidationError("treatment set is empty")
-    if len(set(treatment)) != len(treatment):
-        raise GraphValidationError("treatment labels must be distinct")
-    return treatment
-
-
-def _check_query(g: Pdag, treatment: Iterable[str], outcome: str) -> tuple[str, ...]:
-    treatment = _check_treatment(treatment)
-    for v in treatment:
-        g.index(v)
-    g.index(outcome)
-    if outcome in treatment:
-        raise GraphValidationError("outcome cannot be part of the treatment set")
-    return treatment
-
-
 def is_identified(g: Pdag, treatment: Iterable[str], outcome: str) -> bool:
     """True when the joint total effect of ``treatment`` on ``outcome`` is
     identified from ``g``."""
-    treatment = _check_query(g, treatment, outcome)
     return not exists_proper_possibly_causal_undirected_start(g, treatment, outcome)
 
 
@@ -93,8 +73,8 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
     the parents of the whole bucket, and every such parent lies in the
     treatment set or an earlier D_j.
     """
-    treatment = _check_query(g, treatment, outcome)
-    path = proper_undirected_start_path(g, treatment, outcome)
+    treatment = tuple(treatment)
+    path = proper_undirected_start_path(g, treatment, outcome)  # checks the query
     if path is not None:
         raise NotIdentifiedError(
             f"total effect of {sorted(treatment)} on {outcome!r} is not identified: "

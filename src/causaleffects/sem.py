@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GraphValidationError
-from .graph import Pdag, graph_from_dict, graph_to_dict
+from .graph import Pdag, _check_query, graph_from_dict, graph_to_dict
 from .identify import build_plan
 from .estimate import BlockRecursiveModel, effect_from_lambda
 
@@ -142,12 +142,12 @@ def random_dag(p: int, expected_degree: float, rng: np.random.Generator) -> Pdag
     rank = np.empty(p, dtype=int)
     rank[order] = np.arange(p)
     q = min(1.0, expected_degree / (p - 1))
+    rows, cols = np.triu_indices(p, 1)  # the pairs i < j in row order
+    drawn = rng.random(len(rows)) < q
     edges = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            if rng.random() < q:
-                u, v = (i, j) if rank[i] < rank[j] else (j, i)
-                edges.append((labels[u], labels[v]))
+    for i, j in zip(rows[drawn].tolist(), cols[drawn].tolist()):
+        u, v = (i, j) if rank[i] < rank[j] else (j, i)
+        edges.append((labels[u], labels[v]))
     return Pdag(labels, edges, ())
 
 
@@ -236,11 +236,8 @@ def true_effect_pathsum(
     vertices of the product of edge coefficients.  Exponential on purpose;
     an oracle, not a production path."""
     g = sem.graph
-    a_idx = [g.index(v) for v in treatment]
+    a_idx, y = _check_query(g, treatment, outcome)
     a_set = set(a_idx)
-    y = g.index(outcome)
-    if y in a_set:
-        raise GraphValidationError("outcome cannot be part of the treatment set")
     out = np.zeros(len(a_idx))
 
     def walk(v: int, prod: float, t: int) -> None:
@@ -265,15 +262,11 @@ def true_effect_blockform(
     g = sem.graph
     plan = build_plan(g, treatment, outcome)
     dec = plan.buckets
-    lambdas = []
-    omegas = []
-    for k, bucket in enumerate(dec.buckets):
-        (v,) = bucket
-        j = g.index(v)
-        pa = [g.index(u) for u in dec.external_parents[k]]
-        lambdas.append(sem.gamma[pa, j].reshape(len(pa), 1))
-        omegas.append(np.array([[sem.errors[j].variance]]))
-    model = BlockRecursiveModel(dec, tuple(lambdas), tuple(omegas))
+    lambdas = [None] * len(dec)  # the effect reads the plan's blocks only
+    for k, pa in zip(plan.bucket_order, plan.parents_per_bucket):
+        (v,) = dec.buckets[k]
+        lambdas[k] = sem.gamma[[g.index(u) for u in pa], g.index(v)].reshape(len(pa), 1)
+    model = BlockRecursiveModel(dec, tuple(lambdas), (None,) * len(dec))
     return effect_from_lambda(model, plan)
 
 

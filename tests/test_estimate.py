@@ -373,6 +373,49 @@ def test_estimate_refuses_a_bootstrap_on_cov_before_fitting(chain_sem, monkeypat
         estimate_total_effect(g, ("a",), "y", cov=cov, n_boot=100)
 
 
+def _counting(monkeypatch, name):
+    """Wrap ``causaleffects.estimate.<name>`` so each call is recorded."""
+    import causaleffects.estimate as module
+
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_estimate_refuses_a_query_before_reading_the_data(three_bucket_graph, monkeypatch):
+    calls = _counting(monkeypatch, "sample_covariance")
+    data = rng_from_seed(8).normal(size=(50, 6))
+    with pytest.raises(NotIdentifiedError):
+        estimate_total_effect(three_bucket_graph, ("3",), "5", data=data)
+    with pytest.raises(GraphValidationError, match="treatment set is empty"):
+        estimate_total_effect(three_bucket_graph, (), "5", data=data)
+    assert calls == []
+    estimate_total_effect(three_bucket_graph, ("1",), "5", data=data)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_boot=1), "need at least 2 bootstrap replicates, got 1"),
+        (dict(n_boot=-3), "need at least 2 bootstrap replicates, got -3"),
+        (dict(n_boot=20, level=1.5), "confidence level must be in (0, 1), got 1.5"),
+        (dict(n_boot=20, seed=-1), "seed must be an integer in [0, 2**64), got -1"),
+    ],
+)
+def test_estimate_checks_bootstrap_arguments_before_fitting(chain_sem, monkeypatch,
+                                                            kwargs, message):
+    fits = _counting(monkeypatch, "g_regression")
+    data = sample(chain_sem, 200, rng_from_seed(11))
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        estimate_total_effect(chain_sem.graph, ("a",), "y", data=data, **kwargs)
+    assert fits == []
+    # named before an effect that is not identified, too
+    g = Mpdag(("a", "m", "y"), directed=(("m", "y"),), undirected=(("a", "m"),))
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        estimate_total_effect(g, ("a",), "y", data=data, **kwargs)
+
+
 @pytest.mark.parametrize(
     "treatment, adjust, message",
     [

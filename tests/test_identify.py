@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from causaleffects import (
@@ -8,8 +10,12 @@ from causaleffects import (
     NotIdentifiedError,
     Pdag,
     build_plan,
+    exists_proper_possibly_causal_undirected_start,
     is_identified,
+    proper_undirected_start_path,
     rng_from_seed,
+    true_effect_blockform,
+    true_effect_pathsum,
 )
 
 from .conftest import random_mpdag
@@ -61,17 +67,34 @@ def test_plan_outcome_only_when_effect_absent():
     assert plan.parents_per_bucket == ((),)
 
 
-def test_query_validation(three_bucket_graph):
-    with pytest.raises(GraphValidationError):
-        build_plan(three_bucket_graph, (), "5")
-    with pytest.raises(GraphValidationError):
-        build_plan(three_bucket_graph, ("1", "1"), "5")
-    with pytest.raises(GraphValidationError):
-        build_plan(three_bucket_graph, ("1",), "1")
-    with pytest.raises(GraphValidationError):
-        build_plan(three_bucket_graph, ("nope",), "5")
-    with pytest.raises(GraphValidationError):
-        build_plan(three_bucket_graph, ("1",), "nope")
+# every function that takes a (treatment, outcome) query refuses the same ones
+_QUERY_FUNCTIONS = {
+    "build_plan": lambda sem, a, y: build_plan(sem.graph, a, y),
+    "is_identified": lambda sem, a, y: is_identified(sem.graph, a, y),
+    "proper_undirected_start_path":
+        lambda sem, a, y: proper_undirected_start_path(sem.graph, a, y),
+    "exists_proper_possibly_causal_undirected_start":
+        lambda sem, a, y: exists_proper_possibly_causal_undirected_start(sem.graph, a, y),
+    "true_effect_pathsum": true_effect_pathsum,
+    "true_effect_blockform": true_effect_blockform,
+}
+
+
+@pytest.mark.parametrize(
+    "treatment, outcome, message",
+    [
+        pytest.param((), "y", "treatment set is empty", id="empty"),
+        pytest.param(("a", "a"), "y", "treatment labels must be distinct", id="repeated"),
+        pytest.param(("nope",), "y", "unknown vertex label 'nope'", id="unknown-treatment"),
+        pytest.param(("a",), "nope", "unknown vertex label 'nope'", id="unknown-outcome"),
+        pytest.param(("a", "y"), "y", "outcome cannot be part of the treatment set",
+                     id="outcome-in-treatment"),
+    ],
+)
+@pytest.mark.parametrize("function", list(_QUERY_FUNCTIONS))
+def test_query_validation(chain_sem, function, treatment, outcome, message):
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        _QUERY_FUNCTIONS[function](chain_sem, treatment, outcome)
 
 
 def test_joint_treatment_blocks_proper_paths(three_bucket_graph):
