@@ -73,6 +73,11 @@ def _seed(text: str) -> int:
         ) from None
 
 
+def _labels(text: str) -> list[str]:
+    """Parse a comma-separated ``--treat`` value; blank entries are dropped."""
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -157,9 +162,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_id(args) -> int:
     g = _load_graph(args.graph, strict=True)
-    treatment = [t.strip() for t in args.treat.split(",") if t.strip()]
     try:
-        plan = build_plan(g, treatment, args.outcome)
+        plan = build_plan(g, args.treat, args.outcome)
     except NotIdentifiedError as e:
         _emit(
             {"identified": False, "reason": str(e), "blocking_path": list(e.path)},
@@ -183,11 +187,10 @@ def _cmd_id(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g = _load_graph(args.graph, strict=True)
-    treatment = [t.strip() for t in args.treat.split(",") if t.strip()]
     data = _read_data_csv(args.data, g.vertices)
     est = estimate_total_effect(
         g,
-        treatment,
+        args.treat,
         args.outcome,
         data=data,
         columns=g.vertices,
@@ -230,7 +233,7 @@ def _build_parser() -> _Parser:
 
     pi = sub.add_parser("id", help="decide identifiability and print the plan")
     pi.add_argument("--graph", required=True)
-    pi.add_argument("--treat", required=True, help="comma-separated treatment labels")
+    pi.add_argument("--treat", required=True, type=_labels, help="comma-separated treatment labels")
     pi.add_argument("--outcome", required=True)
     pi.add_argument("--out")
     pi.set_defaults(func=_cmd_id)
@@ -238,7 +241,7 @@ def _build_parser() -> _Parser:
     pe = sub.add_parser("estimate", help="estimate a total effect from CSV data")
     pe.add_argument("--graph", required=True)
     pe.add_argument("--data", required=True, help="CSV with vertex-labelled columns")
-    pe.add_argument("--treat", required=True)
+    pe.add_argument("--treat", required=True, type=_labels)
     pe.add_argument("--outcome", required=True)
     pe.add_argument("--center", action="store_true",
                     help="subtract column means before forming moments")

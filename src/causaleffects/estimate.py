@@ -20,7 +20,7 @@ divide by n (see :attr:`EffectEstimate.se`) for finite-sample use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,23 +51,54 @@ __all__ = [
 COND_LIMIT = 1e10
 
 
+class _LabelIndex(dict):
+    """Label -> position; looking up a label it lacks raises
+    :class:`GraphValidationError`."""
+
+    def __missing__(self, label):
+        raise GraphValidationError(f"unknown vertex label {label!r}")
+
+
+def _label_index(
+    labels: Sequence[str], vertices: Sequence[str] | None = None, what: str = ""
+) -> _LabelIndex:
+    """Map each of ``labels`` (names of matrix rows or data columns) to its
+    position.
+
+    A repeated label raises :class:`GraphValidationError`, and so do, given
+    ``vertices``, another label set ("{what} cover different vertex sets")
+    and looking up a label the map lacks.
+    """
+    index = _LabelIndex(zip(labels, range(len(labels))))
+    if len(index) != len(labels):
+        repeated = next(v for i, v in enumerate(labels) if index[v] != i)
+        raise GraphValidationError(f"duplicate vertex label {repeated!r}")
+    if vertices is not None and index.keys() != set(vertices):
+        raise GraphValidationError(f"{what} cover different vertex sets")
+    return index
+
+
 @dataclass(frozen=True)
 class SampleCovariance:
     """A covariance matrix tied to a vertex order.
 
     ``n`` is the number of rows behind the estimate; population covariances
     use ``n=None``.  The matrix must be symmetric (to 1e-12) and positive
-    definite.
+    definite, and ``vertex_order`` must not repeat a label
+    (:class:`GraphValidationError`); :meth:`positions` refuses a label
+    outside it.
     """
 
     matrix: np.ndarray
     vertex_order: tuple[str, ...]
     n: int | None = None
+    _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "vertex_order", tuple(self.vertex_order))
+        object.__setattr__(self, "_index", _label_index(self.vertex_order))
         p = len(self.vertex_order)
         if m.shape != (p, p):
             raise DegenerateSampleError(
@@ -85,13 +116,7 @@ class SampleCovariance:
             ) from None
 
     def positions(self, labels: Sequence[str]) -> np.ndarray:
-        pos = {v: i for i, v in enumerate(self.vertex_order)}
-        try:
-            return np.array([pos[v] for v in labels], dtype=int)
-        except KeyError as e:
-            raise GraphValidationError(
-                f"label {e.args[0]!r} is not in the covariance's vertex order"
-            ) from None
+        return np.array([self._index[v] for v in labels], dtype=int)
 
 
 def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
@@ -122,7 +147,9 @@ def sample_covariance(
 
     Data are taken as already mean-zero, matching the population
     convention; ``center=True`` subtracts column means first.  Requires
-    ``n > p`` and finite values.
+    ``n > p``, finite values and one column per label
+    (:class:`DegenerateSampleError`), and refuses a repeated label as
+    :class:`SampleCovariance` does.
     """
     x = _data_matrix(data, vertex_order)
     if center:
@@ -225,12 +252,8 @@ def _block_regression(
     cov: SampleCovariance, buckets: BucketDecomposition, fitted
 ) -> BlockRecursiveModel:
     """:func:`_fit_stack` on ``cov`` alone."""
-    if set(cov.vertex_order) != set(buckets.vertex_order):
-        raise GraphValidationError(
-            "covariance and bucket decomposition cover different vertex sets"
-        )
-    local = {v: i for i, v in enumerate(cov.vertex_order)}
-    lambdas, omegas, _ = _fit_stack(cov.matrix[None], buckets, fitted, local, strict=True)
+    _label_index(cov.vertex_order, buckets.vertex_order, "covariance and bucket decomposition")
+    lambdas, omegas, _ = _fit_stack(cov.matrix[None], buckets, fitted, cov._index, strict=True)
     return BlockRecursiveModel(
         buckets,
         tuple(lambdas[k][0] if k in lambdas else None for k in range(len(buckets))),
@@ -287,7 +310,7 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
             "were not fitted"
         )
     buckets = model.buckets
-    pos = {v: i for i, v in enumerate(buckets.vertex_order)}
+    pos = _label_index(buckets.vertex_order)
     s = np.zeros((len(pos), len(pos)))
     prefix: list[int] = []
     for k, bucket in enumerate(buckets.buckets):
@@ -303,31 +326,36 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
     return s
 
 
+def _block_entries(plan: IdentificationPlan):
+    """Where the coefficient blocks of the plan's buckets enter
+    Lambda_{(A,D),D}: one ``(b, i, j, r, d)`` per parent i and D member j of
+    the b-th plan bucket, with r the parent's row in (A, D) and d the
+    member's column in D."""
+    n_a = len(plan.treatment)
+    row = _label_index(plan.treatment + plan.d_set)
+    for b, (k, dk, pa) in enumerate(zip(plan.bucket_order, plan.d_buckets,
+                                        plan.parents_per_bucket)):
+        bucket = plan.buckets.buckets[k]
+        for v in dk:
+            j, d = bucket.index(v), row[v] - n_a
+            for i, u in enumerate(pa):  # build_plan puts every parent in A or D
+                yield b, i, j, row[u], d
+
+
 def _effect_matrices(plan: IdentificationPlan, blocks):
     """Lambda_{A,D} and (I - Lambda_{D,D})^{-1} from the coefficient blocks
-    of the plan's buckets (aligned with ``plan.bucket_order``), and per plan
-    bucket where its block enters them: each parent's row in (A, D) and each
-    D member's (block column, position in D).  Blocks may carry leading
-    stack axes; the matrices then carry the same ones."""
+    of the plan's buckets (aligned with ``plan.bucket_order``).  Blocks may
+    carry leading stack axes; the matrices then carry the same ones."""
     n_a = len(plan.treatment)
-    row = {v: i for i, v in enumerate(plan.treatment + plan.d_set)}
-    lam = np.zeros(blocks[0].shape[:-2] + (len(row), len(plan.d_set)))
-    coords = []
-    for k, dk, blk, pa in zip(plan.bucket_order, plan.d_buckets, blocks,
-                              plan.parents_per_bucket):
-        col = {v: j for j, v in enumerate(plan.buckets.buckets[k])}
-        rows = [row[u] for u in pa]  # build_plan puts every parent in A or D
-        cols = [(col[v], row[v] - n_a) for v in dk]
-        for j, d in cols:
-            for i, r in enumerate(rows):
-                lam[..., r, d] = blk[..., i, j]
-        coords.append((rows, cols))
+    lam = np.zeros(blocks[0].shape[:-2] + (n_a + len(plan.d_set), len(plan.d_set)))
+    for b, i, j, r, d in _block_entries(plan):
+        lam[..., r, d] = blocks[b][..., i, j]
     lam_dd = lam[..., n_a:, :]
     eye = np.eye(len(plan.d_set))
     # the right-hand side carries the stack axes too: numpy < 2 would read a
     # 2-d one beside a 3-d left-hand side as a stack of vectors
     m = np.linalg.solve(eye - lam_dd, np.broadcast_to(eye, lam_dd.shape))
-    return lam[..., :n_a, :], m, coords
+    return lam[..., :n_a, :], m
 
 
 def _assemble_effect(model: BlockRecursiveModel, plan: IdentificationPlan):
@@ -347,7 +375,7 @@ def effect_from_lambda(model: BlockRecursiveModel, plan: IdentificationPlan) -> 
     treatment coordinate.  Coefficients without a corresponding directed
     edge are zero by construction, so an outcome outside the possible
     descendants of the treatment yields exactly zero."""
-    lam_ad, m, _ = _assemble_effect(model, plan)
+    lam_ad, m = _assemble_effect(model, plan)
     return lam_ad @ m[:, plan.d_set.index(plan.outcome)]
 
 
@@ -364,23 +392,18 @@ def effect_gradients(
     D are zero.  Buckets that do not meet D are omitted (all-zero
     gradient).
     """
-    lam_ad, m, coords = _assemble_effect(model, plan)
+    lam_ad, m = _assemble_effect(model, plan)
     n_a = len(plan.treatment)
-    r = lam_ad @ m
+    # c_i by row of (A, D): the treatment indicators, then R
+    c_row = np.hstack([np.eye(n_a), lam_ad @ m])
     mcol = m[:, plan.d_set.index(plan.outcome)]
-    grads: dict[int, np.ndarray] = {}
-    for k, (rows, cols) in zip(plan.bucket_order, coords):
-        c = np.zeros((n_a, len(rows)))
-        for i, row in enumerate(rows):
-            if row < n_a:
-                c[row, i] = 1.0
-            else:
-                c[:, i] = r[:, row - n_a]
-        mb = np.zeros(len(plan.buckets.buckets[k]))
-        for j, d in cols:
-            mb[j] = mcol[d]
-        grads[k] = np.einsum("ti,b->tib", c, mb)
-    return grads
+    cs = [np.zeros((n_a, len(pa))) for pa in plan.parents_per_bucket]
+    mbs = [np.zeros(len(plan.buckets.buckets[k])) for k in plan.bucket_order]
+    for b, i, j, r, d in _block_entries(plan):
+        cs[b][:, i] = c_row[:, r]
+        mbs[b][j] = mcol[d]
+    return {k: np.einsum("ti,b->tib", c, mb)
+            for k, c, mb in zip(plan.bucket_order, cs, mbs)}
 
 
 def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovariance,
@@ -414,7 +437,12 @@ def delta_method_acov(
 
         acov[t, u] = sum_k  sum_{b, c}  Omega_k[b, c] *
                      (H_t' Sigma_{Pa}^{-1} H_u)[b, c].
+
+    ``cov`` must cover the vertices of the plan's bucket decomposition,
+    as in :func:`g_regression` (:class:`GraphValidationError`).
     """
+    _label_index(cov.vertex_order, plan.buckets.vertex_order,
+                 "covariance and bucket decomposition")
     grads = effect_gradients(model, plan)
     return _sandwich(grads, model.omega_blocks, plan, cov, len(plan.treatment))
 
@@ -497,6 +525,10 @@ def adjustment_estimate(
     The acov is the textbook OLS form sigma^2 * (Sigma_{(A,Z)})^{-1}
     restricted to the treatment block.  Only valid adjustment sets make
     this consistent; the function does not check validity.
+
+    ``columns`` names the data columns; a repeated column label, or a
+    treatment, outcome or adjustment label outside ``columns``, raises
+    :class:`GraphValidationError` before any moment is formed.
     """
     treatment, adjust = _check_treatment(treatment, outcome), tuple(adjust)
     if len(set(adjust)) != len(adjust):
@@ -506,6 +538,9 @@ def adjustment_estimate(
         raise GraphValidationError(
             f"adjustment set overlaps treatment/outcome: {sorted(overlap)}"
         )
+    index = _label_index(columns)
+    for v in treatment + adjust + (outcome,):
+        index[v]  # refuses a label outside the columns
     cov = sample_covariance(data, columns, center=center)
     return _adjustment_from_cov(cov, treatment, outcome, adjust)
 
@@ -589,21 +624,21 @@ def bootstrap_ci(
     is n times the covariance of the replicate estimates (the bootstrap
     counterpart of the delta-method acov).  ``n_boot`` below 2 or not an
     integer raises :class:`GraphValidationError` (one replicate has no
-    spread), and so does a seed outside [0, 2**64).  Data that
-    :func:`sample_covariance` refuses are refused before any draw.
+    spread), and so does a seed outside [0, 2**64), a repeated column
+    label and ``columns`` naming other vertices than the plan's graph.
+    Data that :func:`sample_covariance` refuses are refused before any
+    draw.
     """
     _check_bootstrap(n_boot, level, seed)
-    if set(columns) != set(plan.buckets.vertex_order):
-        raise GraphValidationError("data columns and plan cover different vertex sets")
+    col = _label_index(columns, plan.buckets.vertex_order, "data columns and plan")
     x = _data_matrix(data, columns)
     n = x.shape[0]
     labels = list(dict.fromkeys(
         v for k, pa in zip(plan.bucket_order, plan.parents_per_bucket)
         for v in pa + plan.buckets.buckets[k]
     ))
-    col = {v: i for i, v in enumerate(columns)}
     sub = np.array([col[v] for v in labels], dtype=int)
-    local = {v: i for i, v in enumerate(labels)}
+    local = _label_index(labels)
     y = plan.d_set.index(plan.outcome)
     base = np.random.Philox(key=np.uint64(seed))
     taus = np.empty((n_boot, len(plan.treatment)))
@@ -628,7 +663,7 @@ def bootstrap_ci(
             kept[r] = True
         stream += need
         lambdas, _, ok = _fit_stack(stack[kept], plan.buckets, plan.bucket_order, local, False)
-        lam_ad, m, _ = _effect_matrices(plan, [lambdas[k][ok] for k in plan.bucket_order])
+        lam_ad, m = _effect_matrices(plan, [lambdas[k][ok] for k in plan.bucket_order])
         boot = (lam_ad @ m[:, :, y, None])[:, :, 0]
         taus[got:got + len(boot)] = boot
         got += len(boot)
@@ -664,7 +699,8 @@ def estimate_total_effect(
     """End-to-end pipeline: plan, regress, assemble, quantify.
 
     Exactly one of ``data`` (rows, with ``columns`` naming them; defaults
-    to the graph's vertex order) or ``cov`` must be given.  Bootstrap
+    to the graph's vertex order) or ``cov`` must be given, and ``columns``
+    only with ``data``.  Bootstrap
     intervals require raw data; ``n_boot=0`` asks for none.  Raises
     :class:`NotIdentifiedError` when the effect is not identified from
     ``graph``.  Arguments are checked before any work: the bootstrap's
@@ -673,6 +709,8 @@ def estimate_total_effect(
     """
     if (data is None) == (cov is None):
         raise GraphValidationError("pass exactly one of data= or cov=")
+    if columns is not None and data is None:
+        raise GraphValidationError("columns= names data columns; it needs data=, not cov=")
     if n_boot:
         if data is None:
             raise GraphValidationError("bootstrap intervals need raw data, not cov=")

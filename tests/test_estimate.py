@@ -52,6 +52,27 @@ def test_sample_covariance_is_uncentered_second_moment():
     assert s.positions(("y",)) == [1]
 
 
+# a fourth column named like the third, at every entry point that reads
+# labelled columns or covariance rows
+_REPEATED_LABEL = {
+    "SampleCovariance": lambda g, data, cols: SampleCovariance(np.eye(4), cols),
+    "sample_covariance": lambda g, data, cols: sample_covariance(data, cols),
+    "estimate_total_effect":
+        lambda g, data, cols: estimate_total_effect(g, ("a",), "y", data=data, columns=cols),
+    "bootstrap_ci":
+        lambda g, data, cols: bootstrap_ci(data, cols, build_plan(g, ("a",), "y"), n_boot=20),
+    "adjustment_estimate": lambda g, data, cols: adjustment_estimate(data, cols, ("a",), "y", ()),
+}
+
+
+@pytest.mark.parametrize("entry", list(_REPEATED_LABEL))
+def test_repeated_label_is_refused(chain_sem, entry):
+    junk = rng_from_seed(5).normal(size=(200, 1))
+    data = np.hstack([sample(chain_sem, 200, rng_from_seed(4)), junk])
+    with pytest.raises(GraphValidationError, match="duplicate vertex label 'y'"):
+        _REPEATED_LABEL[entry](chain_sem.graph, data, ("a", "m", "y", "y"))
+
+
 def test_sample_covariance_center_subtracts_means():
     rng = rng_from_seed(3)
     data = rng.normal(size=(50, 3)) + np.array([5.0, -2.0, 0.5])
@@ -357,6 +378,8 @@ def test_estimate_requires_exactly_one_input_source(chain_sem, rng):
         estimate_total_effect(g, ("a",), "y", data=data, columns=g.vertices, cov=cov)
     with pytest.raises(GraphValidationError):
         estimate_total_effect(g, ("a",), "y", cov=cov, n_boot=100)
+    with pytest.raises(GraphValidationError, match="columns= names data columns"):
+        estimate_total_effect(g, ("a",), "y", cov=cov, columns=("zz",))
     with pytest.raises(DegenerateSampleError):
         estimate_total_effect(g, ("a",), "y", data=data, columns=("a", "m"))
 
@@ -425,12 +448,17 @@ def test_estimate_checks_bootstrap_arguments_before_fitting(chain_sem, monkeypat
         (("a",), ("c", "a"), "adjustment set overlaps treatment/outcome"),
         (("a",), ("y",), "adjustment set overlaps treatment/outcome"),
         (("a", "y"), ("c",), "outcome cannot be part of the treatment set"),
+        (("nope",), ("c",), "unknown vertex label 'nope'"),
+        (("a",), ("nope",), "unknown vertex label 'nope'"),
     ],
 )
-def test_adjustment_refuses_malformed_sets(confounder_sem, treatment, adjust, message):
+def test_adjustment_refuses_malformed_sets(confounder_sem, monkeypatch, treatment, adjust,
+                                           message):
+    calls = _counting(monkeypatch, "sample_covariance")
     data = sample(confounder_sem, 100, rng_from_seed(2))
     with pytest.raises(GraphValidationError, match=re.escape(message)):
         adjustment_estimate(data, confounder_sem.graph.vertices, treatment, "y", adjust)
+    assert calls == []  # refused before any moment is formed
 
 
 def test_regressions_refuse_a_model_or_covariance_that_does_not_fit(three_bucket_graph):
@@ -438,7 +466,8 @@ def test_regressions_refuse_a_model_or_covariance_that_does_not_fit(three_bucket
     plan = build_plan(g, ("1",), "5")
     cov = sample_covariance(rng_from_seed(8).normal(size=(50, 6)), g.vertices)
     other = SampleCovariance(cov.matrix, ("1", "2", "3", "4", "5", "x"))
-    for fit in (g_regression, gbar_regression):
+    for fit in (g_regression, gbar_regression,
+                lambda c, p: delta_method_acov(g_regression(cov, p), p, c)):
         with pytest.raises(GraphValidationError, match="cover different vertex sets"):
             fit(other, plan)
     # fitted for another plan of the same graph: bucket {5, 6} is missing

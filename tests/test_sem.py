@@ -198,11 +198,6 @@ def test_pathsum_chain(chain_sem):
     assert true_effect_pathsum(chain_sem, ("a", "m"), "y") == pytest.approx([0.0, 3.0])
 
 
-def test_pathsum_rejects_outcome_in_treatment(chain_sem):
-    with pytest.raises(GraphValidationError):
-        true_effect_pathsum(chain_sem, ("a", "y"), "y")
-
-
 def test_blockform_equals_pathsum_and_cut_matrix(rng):
     for _ in range(20):
         dag = random_dag(int(rng.integers(3, 8)), 2.5, rng)
