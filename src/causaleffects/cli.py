@@ -20,8 +20,9 @@ from .errors import (
     GraphValidationError,
     IllConditionedError,
     NotIdentifiedError,
+    _check_seed,
 )
-from .estimate import _check_seed, estimate_total_effect
+from .estimate import estimate_total_effect
 from .graph import (
     bucket_decomposition,
     cpdag_from_dag,

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for what a
+count and a finite number are."""
+
+import math
+
+import numpy as np
 
 
 class CausalEffectsError(Exception):
@@ -37,3 +42,35 @@ class IllConditionedError(CausalEffectsError):
     def __init__(self, message: str, cond: float | None = None):
         super().__init__(message)
         self.cond = cond
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int when it is a Python or numpy integer and
+    not a bool; raises :class:`GraphValidationError` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GraphValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a Python float when it is a finite Python or numpy int
+    or float and not a bool; raises :class:`GraphValidationError`
+    otherwise."""
+    if isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise GraphValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int when it is an integer in [0, 2**64), the
+    keys of the 64-bit Philox generators that the bootstrap and the
+    simulation draw from; raises :class:`GraphValidationError` otherwise."""
+    value = _integer(seed, "seed")
+    if not 0 <= value < 2**64:
+        raise GraphValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value

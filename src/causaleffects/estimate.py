@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSampleError, GraphValidationError, IllConditionedError
+from .errors import (DegenerateSampleError, GraphValidationError, IllConditionedError,
+                     _check_seed, _finite, _integer)
 from .graph import BucketDecomposition, Pdag, _check_treatment
 from .identify import IdentificationPlan, build_plan
 
@@ -82,11 +83,12 @@ def _label_index(
 class SampleCovariance:
     """A covariance matrix tied to a vertex order.
 
-    ``n`` is the number of rows behind the estimate; population covariances
-    use ``n=None``.  The matrix must be symmetric (to 1e-12) and positive
-    definite, and ``vertex_order`` must not repeat a label
-    (:class:`GraphValidationError`); :meth:`positions` refuses a label
-    outside it.
+    ``n`` is the number of rows behind the estimate, an integer of at least
+    1 (stored as a Python int); population covariances use ``n=None``.  The
+    matrix must be symmetric (to 1e-12) and positive definite, and
+    ``vertex_order`` must not repeat a label (:class:`GraphValidationError`
+    for the label and for ``n``); :meth:`positions` refuses a label outside
+    it.
     """
 
     matrix: np.ndarray
@@ -95,6 +97,11 @@ class SampleCovariance:
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if self.n is not None:
+            n = _integer(self.n, "n")
+            if n < 1:
+                raise GraphValidationError(f"n must be at least 1, got {n}")
+            object.__setattr__(self, "n", n)
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "vertex_order", tuple(self.vertex_order))
@@ -457,9 +464,19 @@ def efficiency_bound(plan: IdentificationPlan, cov: SampleCovariance, w: np.ndar
     and Omega_k from its :func:`gbar_regression` (the residual blocks of the
     saturated parameterization).  Evaluated at the truth this equals
     ``w' delta_method_acov(...) w``, which is how the bound is attained.
+
+    ``w`` must hold one finite number per treatment vertex, else
+    :class:`GraphValidationError` before any fit.
     """
+    n_a = len(plan.treatment)
+    try:
+        weights = [_finite(v, "weight") for v in w]
+    except TypeError:  # w is not iterable
+        weights = []
+    if len(weights) != n_a:
+        raise GraphValidationError(f"w must hold one weight per treatment vertex ({n_a}), got {w!r}")
+    w = np.array(weights)
     model_g, model_gbar = g_regression(cov, plan), gbar_regression(cov, plan)
-    w = np.asarray(w, dtype=float)
     grads = {k: np.einsum("t,tib->ib", w, h)[None]
              for k, h in effect_gradients(model_g, plan).items()}
     return float(_sandwich(grads, model_gbar.omega_blocks, plan, cov, 1)[0, 0])
@@ -570,25 +587,23 @@ def _adjustment_from_cov(
     )
 
 
-def _check_seed(seed) -> int:
-    """``seed`` itself when it is an integer in [0, 2**64), the keys of the
-    64-bit Philox generators that the bootstrap and the simulation draw
-    from; raises :class:`GraphValidationError` otherwise."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise GraphValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return seed
+def _check_level(level) -> float:
+    """``level`` as a float when it is a finite number in (0, 1); raises
+    :class:`GraphValidationError` otherwise."""
+    value = _finite(level, "level")
+    if not 0.0 < value < 1.0:
+        raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
+    return value
 
 
-def _check_bootstrap(n_boot, level, seed) -> None:
-    """Refuse the bootstrap arguments :func:`bootstrap_ci` cannot use, with
-    :class:`GraphValidationError`."""
-    _check_seed(seed)
-    if not isinstance(n_boot, (int, np.integer)):
-        raise GraphValidationError(f"n_boot must be an integer, got {n_boot!r}")
+def _check_bootstrap(n_boot, level, seed) -> tuple[int, float, int]:
+    """``(n_boot, level, seed)`` as plain numbers when :func:`bootstrap_ci`
+    can use them; raises :class:`GraphValidationError` otherwise."""
+    seed = _check_seed(seed)
+    n_boot = _integer(n_boot, "n_boot")
     if n_boot < 2:
         raise GraphValidationError(f"need at least 2 bootstrap replicates, got {n_boot}")
-    if not 0.0 < level < 1.0:
-        raise GraphValidationError(f"confidence level must be in (0, 1), got {level}")
+    return n_boot, _check_level(level), seed
 
 
 def bootstrap_ci(
@@ -606,12 +621,14 @@ def bootstrap_ci(
     Every replicate re-runs the regressions of the plan's buckets
     (``plan.bucket_order``) on resampled rows; the plan depends only on the
     graph and is not rebuilt.  Replicate r draws its indices from a
-    counter-derived stream of the master seed, so results are reproducible
-    for any worker count.  A replicate is rejected when its full resampled
-    covariance is not positive definite (:func:`sample_covariance`), or
-    when a plan bucket's parent covariance is not positive definite or has
-    a condition number above :data:`COND_LIMIT`; buckets outside the plan
-    are not fitted and reject nothing.  Rejected replicates are redrawn
+    counter-derived stream of the master seed (the Philox generator keyed
+    by the seed, with r in its counter's third word), so results are
+    reproducible for any worker count.  A replicate is rejected when its
+    full resampled covariance is not positive definite
+    (:func:`sample_covariance`), or when a plan bucket's parent covariance
+    is not positive definite or has a condition number above
+    :data:`COND_LIMIT`; buckets outside the plan are not fitted and reject
+    nothing.  Rejected replicates are redrawn
     from the next streams; more than 10% rejections raises
     :class:`IllConditionedError`.
 
@@ -624,12 +641,12 @@ def bootstrap_ci(
     is n times the covariance of the replicate estimates (the bootstrap
     counterpart of the delta-method acov).  ``n_boot`` below 2 or not an
     integer raises :class:`GraphValidationError` (one replicate has no
-    spread), and so does a seed outside [0, 2**64), a repeated column
-    label and ``columns`` naming other vertices than the plan's graph.
-    Data that :func:`sample_covariance` refuses are refused before any
-    draw.
+    spread), and so do a ``level`` that is not a finite number in (0, 1),
+    a seed that is not an integer in [0, 2**64), a repeated column label
+    and ``columns`` naming other vertices than the plan's graph.  Data
+    that :func:`sample_covariance` refuses are refused before any draw.
     """
-    _check_bootstrap(n_boot, level, seed)
+    n_boot, level, seed = _check_bootstrap(n_boot, level, seed)
     col = _label_index(columns, plan.buckets.vertex_order, "data columns and plan")
     x = _data_matrix(data, columns)
     n = x.shape[0]
@@ -640,7 +657,6 @@ def bootstrap_ci(
     sub = np.array([col[v] for v in labels], dtype=int)
     local = _label_index(labels)
     y = plan.d_set.index(plan.outcome)
-    base = np.random.Philox(key=np.uint64(seed))
     taus = np.empty((n_boot, len(plan.treatment)))
     got = 0
     rejected = 0
@@ -653,7 +669,7 @@ def bootstrap_ci(
         stack = np.empty((need, len(sub), len(sub)))
         kept = np.zeros(need, dtype=bool)
         for r in range(need):
-            rng = np.random.Generator(base.jumped(stream + r))
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream + r, 0]))
             idx = rng.integers(0, n, size=n)
             try:
                 s = sample_covariance(x[idx], columns, center=center).matrix
@@ -700,21 +716,27 @@ def estimate_total_effect(
 
     Exactly one of ``data`` (rows, with ``columns`` naming them; defaults
     to the graph's vertex order) or ``cov`` must be given, and ``columns``
-    only with ``data``.  Bootstrap
-    intervals require raw data; ``n_boot=0`` asks for none.  Raises
+    and ``center=True`` only with ``data``.  Bootstrap intervals require
+    raw data; ``n_boot=0`` asks for none.  Raises
     :class:`NotIdentifiedError` when the effect is not identified from
     ``graph``.  Arguments are checked before any work: the bootstrap's
-    first (when ``n_boot`` is not 0), then the query and its
-    identification, all before the data are read.
+    first, as :func:`bootstrap_ci` checks them (``n_boot`` must be an
+    integer, and ``level`` and ``seed`` are checked even when it is 0),
+    then the query and its identification, all before the data are read.
     """
     if (data is None) == (cov is None):
         raise GraphValidationError("pass exactly one of data= or cov=")
     if columns is not None and data is None:
         raise GraphValidationError("columns= names data columns; it needs data=, not cov=")
+    if center and data is None:
+        raise GraphValidationError("center= centres data columns; it needs data=, not cov=")
+    n_boot = _integer(n_boot, "n_boot")
     if n_boot:
         if data is None:
             raise GraphValidationError("bootstrap intervals need raw data, not cov=")
-        _check_bootstrap(n_boot, level, seed)
+        n_boot, level, seed = _check_bootstrap(n_boot, level, seed)
+    else:
+        seed, level = _check_seed(seed), _check_level(level)
     plan = build_plan(graph, treatment, outcome)
     if data is not None:
         columns = tuple(columns) if columns is not None else graph.vertices

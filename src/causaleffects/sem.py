@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GraphValidationError
+from .errors import GraphValidationError, _check_seed, _finite, _integer
 from .graph import Pdag, _check_query, graph_from_dict, graph_to_dict
 from .identify import build_plan
 from .estimate import BlockRecursiveModel, effect_from_lambda
@@ -54,7 +54,13 @@ ERROR_FAMILIES = tuple(_FAMILIES)
 
 
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator on a stream derived from (seed, *stream)."""
+    """Counter-based generator on a stream derived from (seed, *stream).
+
+    ``seed`` must be an integer in [0, 2**64) and each stream entry a
+    non-negative integer, else :class:`GraphValidationError`."""
+    seed, stream = _check_seed(seed), tuple(_integer(s, "stream entry") for s in stream)
+    if any(s < 0 for s in stream):
+        raise GraphValidationError(f"stream entries must be non-negative, got {stream}")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=stream))
     )
@@ -62,7 +68,11 @@ def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ErrorSpec:
-    """One vertex's error distribution."""
+    """One vertex's error distribution.
+
+    ``family`` must be one of :data:`ERROR_FAMILIES` and ``param`` a finite
+    number above 0 (stored as a Python float), else
+    :class:`GraphValidationError`."""
 
     family: str
     param: float
@@ -70,8 +80,10 @@ class ErrorSpec:
     def __post_init__(self):
         if self.family not in ERROR_FAMILIES:
             raise GraphValidationError(f"unknown error family {self.family!r}")
-        if not self.param > 0:
+        param = _finite(self.param, "param")
+        if not param > 0:
             raise GraphValidationError("error parameter must be positive")
+        object.__setattr__(self, "param", param)
 
     @property
     def variance(self) -> float:
@@ -83,7 +95,11 @@ class ErrorSpec:
 
 @dataclass(frozen=True)
 class LinearSem:
-    """A DAG plus edge coefficients and per-vertex error specs."""
+    """A DAG plus edge coefficients and per-vertex error specs.
+
+    ``gamma`` must be a finite p x p matrix that is zero off the DAG's
+    edges, and ``errors`` one :class:`ErrorSpec` per vertex, else
+    :class:`GraphValidationError`."""
 
     graph: Pdag
     gamma: np.ndarray
@@ -97,8 +113,13 @@ class LinearSem:
         p = self.graph.n_vertices
         if g.shape != (p, p):
             raise GraphValidationError(f"gamma must be {p}x{p}, got {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise GraphValidationError("gamma contains non-finite values")
         if len(self.errors) != p:
             raise GraphValidationError("one error spec per vertex is required")
+        bad = [e for e in self.errors if not isinstance(e, ErrorSpec)]
+        if bad:
+            raise GraphValidationError(f"errors must be ErrorSpec instances, got {bad[0]!r}")
         support = np.zeros((p, p), dtype=bool)
         for u, v in self.graph.directed_edges:
             support[self.graph.index(u), self.graph.index(v)] = True
@@ -134,9 +155,15 @@ class LinearSem:
 
 def random_dag(p: int, expected_degree: float, rng: np.random.Generator) -> Pdag:
     """Erdos-Renyi skeleton with edge probability expected_degree/(p-1),
-    oriented along a uniformly random causal order.  Labels are "1".."p"."""
+    oriented along a uniformly random causal order.  Labels are "1".."p".
+
+    ``p`` must be an integer of at least 2 and ``expected_degree`` a finite
+    number of at least 0, else :class:`GraphValidationError`."""
+    p = _integer(p, "p")
     if p < 2:
         raise GraphValidationError("need at least two vertices")
+    if not _finite(expected_degree, "expected_degree") >= 0:
+        raise GraphValidationError(f"expected degree must be non-negative, got {expected_degree}")
     labels = tuple(str(i + 1) for i in range(p))
     order = rng.permutation(p)
     rank = np.empty(p, dtype=int)
@@ -218,7 +245,11 @@ def random_sem(
 
 def sample(sem: LinearSem, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws by forward substitution in topological order; columns follow
-    the graph's vertex order."""
+    the graph's vertex order.  ``n`` must be an integer of at least 1, else
+    :class:`GraphValidationError`."""
+    n = _integer(n, "n")
+    if n < 1:
+        raise GraphValidationError(f"n must be at least 1, got {n}")
     p = sem.graph.n_vertices
     x = np.empty((n, p))
     for j in sem.topological_order():

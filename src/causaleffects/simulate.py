@@ -19,11 +19,11 @@ from statistics import median
 
 import numpy as np
 
-from .errors import CausalEffectsError, GraphValidationError, NotIdentifiedError
+from .errors import (CausalEffectsError, GraphValidationError, NotIdentifiedError,
+                     _check_seed, _integer)
 from .estimate import (
     SampleCovariance,
     _adjustment_from_cov,
-    _check_seed,
     effect_from_lambda,
     efficiency_bound,
     g_regression,
@@ -139,12 +139,16 @@ def run_simulation(
     for the g-regression estimate and for the population variance ratio of
     parent adjustment over the efficiency bound; every regression fits the
     plan's buckets only.  One sample covariance per replication serves both
-    the g-regression estimate and the adjustment baseline.  A seed outside
-    [0, 2**64) raises :class:`GraphValidationError`, and so, before any
-    draw, do fewer than two vertices, a treatment size outside
-    [1, n_vertices), a sample size n <= n_vertices, fewer than one
-    replication and a ``family`` that :func:`random_sem` refuses."""
-    _check_seed(seed)
+    the g-regression estimate and the adjustment baseline.  Before any
+    draw, :class:`GraphValidationError` refuses a seed that is not an
+    integer in [0, 2**64), a count among ``n_vertices``, ``treat_size``,
+    ``n`` and ``reps`` that is not an integer, fewer than two vertices, a
+    treatment size outside [1, n_vertices), a sample size n <= n_vertices,
+    fewer than one replication and a ``family`` that :func:`random_sem`
+    refuses.  ``params`` holds the counts and the seed as Python ints."""
+    seed = _check_seed(seed)
+    n_vertices, treat_size = _integer(n_vertices, "n_vertices"), _integer(treat_size, "treat_size")
+    n, reps = _integer(n, "n"), _integer(reps, "reps")
     _check_family(family)
     if n_vertices < 2:
         raise GraphValidationError(f"need at least two vertices, got {n_vertices}")

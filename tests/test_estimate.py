@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -380,6 +381,8 @@ def test_estimate_requires_exactly_one_input_source(chain_sem, rng):
         estimate_total_effect(g, ("a",), "y", cov=cov, n_boot=100)
     with pytest.raises(GraphValidationError, match="columns= names data columns"):
         estimate_total_effect(g, ("a",), "y", cov=cov, columns=("zz",))
+    with pytest.raises(GraphValidationError, match="center= centres data columns"):
+        estimate_total_effect(g, ("a",), "y", cov=cov, center=True)
     with pytest.raises(DegenerateSampleError):
         estimate_total_effect(g, ("a",), "y", data=data, columns=("a", "m"))
 
@@ -424,15 +427,22 @@ def test_estimate_refuses_a_query_before_reading_the_data(three_bucket_graph, mo
         (dict(n_boot=-3), "need at least 2 bootstrap replicates, got -3"),
         (dict(n_boot=20, level=1.5), "confidence level must be in (0, 1), got 1.5"),
         (dict(n_boot=20, seed=-1), "seed must be an integer in [0, 2**64), got -1"),
+        (dict(n_boot=20, level="0.9"), "level must be a finite number, got '0.9'"),
+        (dict(n_boot=True), "n_boot must be an integer, got True"),
+        (dict(n_boot=0.0), "n_boot must be an integer, got 0.0"),
+        # level and seed are checked without a bootstrap too
+        (dict(n_boot=0, level=5), "confidence level must be in (0, 1), got 5"),
+        (dict(seed=-1), "seed must be an integer in [0, 2**64), got -1"),
     ],
 )
 def test_estimate_checks_bootstrap_arguments_before_fitting(chain_sem, monkeypatch,
                                                             kwargs, message):
     fits = _counting(monkeypatch, "g_regression")
+    moments = _counting(monkeypatch, "sample_covariance")
     data = sample(chain_sem, 200, rng_from_seed(11))
     with pytest.raises(GraphValidationError, match=re.escape(message)):
         estimate_total_effect(chain_sem.graph, ("a",), "y", data=data, **kwargs)
-    assert fits == []
+    assert fits == [] and moments == []
     # named before an effect that is not identified, too
     g = Mpdag(("a", "m", "y"), directed=(("m", "y"),), undirected=(("a", "m"),))
     with pytest.raises(GraphValidationError, match=re.escape(message)):
@@ -562,7 +572,7 @@ def test_solve_refuses_non_positive_definite(a):
     assert exc.value.cond == float("inf")
 
 
-@pytest.mark.parametrize("n_boot", [-1, 0, 1, 2.5])
+@pytest.mark.parametrize("n_boot", [-1, 0, 1, 2.5, 0.0, True])
 def test_bootstrap_needs_two_replicates(chain_sem, n_boot):
     data = sample(chain_sem, 200, rng_from_seed(11))
     g = chain_sem.graph
@@ -571,6 +581,9 @@ def test_bootstrap_needs_two_replicates(chain_sem, n_boot):
         bootstrap_ci(data, g.vertices, plan, n_boot=n_boot)
     est = estimate_total_effect(g, ("a",), "y", data=data, n_boot=0)
     assert est.ci_lower is None and est.boot_acov is None
+    if type(n_boot) is not int or n_boot != 0:  # the integer 0 alone asks for no bootstrap
+        with pytest.raises(GraphValidationError, match=f"got {n_boot}$"):
+            estimate_total_effect(g, ("a",), "y", data=data, n_boot=n_boot)
 
 
 @pytest.mark.parametrize(
@@ -579,6 +592,9 @@ def test_bootstrap_needs_two_replicates(chain_sem, n_boot):
         (dict(level=0.0), r"confidence level must be in \(0, 1\), got 0.0"),
         (dict(level=1.0), r"confidence level must be in \(0, 1\), got 1.0"),
         (dict(columns=("a", "m", "z")), "data columns and plan cover different vertex sets"),
+        (dict(level=np.nan), "level must be a finite number, got nan"),
+        (dict(level="0.9"), "level must be a finite number, got '0.9'"),
+        (dict(seed=True), "seed must be an integer, got True"),
     ],
 )
 def test_bootstrap_refuses_bad_arguments(chain_sem, kwargs, message):
@@ -605,6 +621,19 @@ def test_bootstrap_is_deterministic(chain_sem):
     est = estimate_total_effect(g, ("a",), "y", data=data, **kw)
     assert np.array_equal(est.ci_lower, lo1) and np.array_equal(est.ci_upper, hi1)
     assert np.array_equal(est.boot_acov, acov1) and est.boot_rejected == rej1
+
+
+def test_estimate_dict_reads_back_from_json_with_numpy_arguments(chain_sem):
+    """numpy integers come back as Python ints, so the dict is valid JSON."""
+    g = chain_sem.graph
+    cov = SampleCovariance(chain_sem.implied_covariance(), g.vertices, n=np.int64(50))
+    est = estimate_total_effect(g, ("a",), "y", cov=cov)
+    assert type(est.n) is int and json.loads(json.dumps(est.to_dict())) == est.to_dict()
+    data = sample(chain_sem, 200, rng_from_seed(11))
+    est = estimate_total_effect(g, ("a",), "y", data=data, n_boot=np.int64(20),
+                                level=np.float32(0.5), seed=np.uint64(3))
+    d = est.to_dict()
+    assert json.loads(json.dumps(d)) == d and d["seed"] == 3 and d["ci"]["level"] == 0.5
 
 
 def test_bootstrap_acov_tracks_delta_method(chain_sem):

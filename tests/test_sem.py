@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from causaleffects import (
     GraphValidationError,
     LinearSem,
     Pdag,
+    SampleCovariance,
+    build_plan,
+    efficiency_bound,
     load_sem,
     random_dag,
     random_sem,
@@ -82,6 +86,87 @@ def test_linear_sem_validates_support(chain_sem):
         LinearSem(g, bad, chain_sem.errors)
     with pytest.raises(GraphValidationError):
         LinearSem(g, chain_sem.gamma, chain_sem.errors[:2])
+
+
+def _gamma_with(sem, value):
+    gamma = sem.gamma.copy()
+    gamma[0, 1] = value  # the edge a -> m
+    return gamma
+
+
+def _population_cov(sem, n=None):
+    return SampleCovariance(sem.implied_covariance(), sem.graph.vertices, n=n)
+
+
+def _bound(sem, w):
+    return efficiency_bound(build_plan(sem.graph, ("a",), "y"), _population_cov(sem), w)
+
+
+# every entry point that reads a count or a plain number, with an argument
+# that is not an integer or not a finite number, or is one out of range
+_BAD_NUMBERS = {
+    "SampleCovariance n=0": (lambda sem: _population_cov(sem, n=0),
+                             "n must be at least 1, got 0"),
+    "SampleCovariance n=-5": (lambda sem: _population_cov(sem, n=-5),
+                              "n must be at least 1, got -5"),
+    "SampleCovariance n=2.5": (lambda sem: _population_cov(sem, n=2.5),
+                               "n must be an integer, got 2.5"),
+    "SampleCovariance n=True": (lambda sem: _population_cov(sem, n=True),
+                                "n must be an integer, got True"),
+    "sample n=0": (lambda sem: sample(sem, 0, rng_from_seed(1)), "n must be at least 1, got 0"),
+    "sample n=-1": (lambda sem: sample(sem, -1, rng_from_seed(1)),
+                    "n must be at least 1, got -1"),
+    "sample n=2.5": (lambda sem: sample(sem, 2.5, rng_from_seed(1)),
+                     "n must be an integer, got 2.5"),
+    "random_dag p=3.0": (lambda sem: random_dag(3.0, 1, rng_from_seed(1)),
+                         "p must be an integer, got 3.0"),
+    "random_dag degree nan": (lambda sem: random_dag(6, np.nan, rng_from_seed(1)),
+                              "expected_degree must be a finite number, got nan"),
+    "random_dag degree inf": (lambda sem: random_dag(6, np.inf, rng_from_seed(1)),
+                              "expected_degree must be a finite number, got inf"),
+    "random_dag degree -1": (lambda sem: random_dag(6, -1, rng_from_seed(1)),
+                             "expected degree must be non-negative, got -1"),
+    "random_dag degree '3'": (lambda sem: random_dag(6, "3", rng_from_seed(1)),
+                              "expected_degree must be a finite number, got '3'"),
+    "rng_from_seed seed=-1": (lambda sem: rng_from_seed(-1),
+                              "seed must be an integer in [0, 2**64), got -1"),
+    "rng_from_seed seed=2**64": (lambda sem: rng_from_seed(2**64),
+                                 f"seed must be an integer in [0, 2**64), got {2**64}"),
+    "rng_from_seed seed=1.5": (lambda sem: rng_from_seed(1.5), "seed must be an integer, got 1.5"),
+    "rng_from_seed stream -1": (lambda sem: rng_from_seed(3, 0, -1),
+                                "stream entries must be non-negative, got (0, -1)"),
+    "rng_from_seed stream 1.5": (lambda sem: rng_from_seed(3, 1.5),
+                                 "stream entry must be an integer, got 1.5"),
+    "ErrorSpec param inf": (lambda sem: ErrorSpec("gaussian", np.inf),
+                            "param must be a finite number, got inf"),
+    "ErrorSpec param True": (lambda sem: ErrorSpec("gaussian", True),
+                             "param must be a finite number, got True"),
+    "ErrorSpec param '2'": (lambda sem: ErrorSpec("gaussian", "2"),
+                            "param must be a finite number, got '2'"),
+    "LinearSem gamma nan": (lambda sem: LinearSem(sem.graph, _gamma_with(sem, np.nan), sem.errors),
+                            "gamma contains non-finite values"),
+    "LinearSem gamma inf": (lambda sem: LinearSem(sem.graph, _gamma_with(sem, np.inf), sem.errors),
+                            "gamma contains non-finite values"),
+    "LinearSem error str": (lambda sem: LinearSem(sem.graph, sem.gamma, ("gaussian",) * 3),
+                            "errors must be ErrorSpec instances, got 'gaussian'"),
+    "efficiency_bound w too long": (lambda sem: _bound(sem, np.ones(2)),
+                                    "w must hold one weight per treatment vertex (1)"),
+    "efficiency_bound w scalar": (lambda sem: _bound(sem, 1.0),
+                                  "w must hold one weight per treatment vertex (1)"),
+    "efficiency_bound w ragged": (lambda sem: _bound(sem, [[1.0], 2.0]),
+                                  "weight must be a finite number, got [1.0]"),
+    "efficiency_bound w nan": (lambda sem: _bound(sem, [np.nan]),
+                               "weight must be a finite number, got nan"),
+    "efficiency_bound w True": (lambda sem: _bound(sem, [True]),
+                                "weight must be a finite number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_NUMBERS))
+def test_numeric_arguments_are_refused(chain_sem, case):
+    call, message = _BAD_NUMBERS[case]
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        call(chain_sem)
 
 
 def test_linear_sem_requires_dag(three_bucket_graph):
@@ -267,10 +352,13 @@ def _sem_dict():
         (lambda d: {**d, "coefficients": [["a", "b", "x"]]}, "'coefficients' must be an array"),
         (lambda d: {**d, "coefficients": [["a", "q", 1.0]]}, "unknown vertex label 'q'"),
         (lambda d: {**d, "coefficients": [["b", "a", 1.0]]}, "off the edge set"),
+        (lambda d: {**d, "coefficients": [["a", "b", "inf"]]}, "gamma contains non-finite"),
         (lambda d: {**d, "errors": None}, "'errors' must be an array"),
         (lambda d: {**d, "errors": [{"family": "gaussian"}] * 2}, "'errors' must be an array"),
         (lambda d: {**d, "errors": ["gaussian", "uniform"]}, "'errors' must be an array"),
         (lambda d: {**d, "errors": d["errors"][:1]}, "one error spec per vertex"),
+        (lambda d: {**d, "errors": [{"family": "gaussian", "param": "inf"}] * 2},
+         "param must be a finite number, got inf"),
         (lambda d: {**d, "errors": [{"family": "mixed", "param": 1.0}] * 2},
          "unknown error family 'mixed'"),
     ],

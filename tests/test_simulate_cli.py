@@ -110,6 +110,37 @@ def test_simulation_refuses_an_unknown_family_before_any_draw(monkeypatch):
         run_simulation(n_vertices=6, treat_size=1, n=100, reps=2, seed=0, family="foo")
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_vertices": 1.5}, "n_vertices must be an integer, got 1.5"),
+        ({"n_vertices": "6"}, "n_vertices must be an integer, got '6'"),
+        ({"treat_size": True}, "treat_size must be an integer, got True"),
+        ({"n": 100.0}, "n must be an integer, got 100.0"),
+        ({"reps": True}, "reps must be an integer, got True"),
+        ({"seed": True}, "seed must be an integer, got True"),
+    ],
+)
+def test_simulation_refuses_non_integer_counts_before_any_draw(monkeypatch, kwargs, message):
+    def no_draws(*args):
+        raise AssertionError("run_simulation drew before checking its arguments")
+
+    monkeypatch.setattr("causaleffects.simulate.rng_from_seed", no_draws)
+    kw = {"n_vertices": 6, "treat_size": 1, "n": 100, "reps": 2, "seed": 0, **kwargs}
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        run_simulation(**kw)
+
+
+def test_simulation_summary_reads_back_with_numpy_counts():
+    """numpy integers come back as Python ints, so the summary is valid JSON."""
+    rep = run_simulation(n_vertices=np.int64(6), treat_size=np.int32(1), n=np.int64(100),
+                         reps=np.int64(2), seed=np.uint64(3))
+    summary = json.loads(rep.summary_json())
+    assert summary["params"]["n_vertices"] == 6 and summary["params"]["seed"] == 3
+    assert rep.records == run_simulation(n_vertices=6, treat_size=1, n=100, reps=2,
+                                         seed=3).records
+
+
 def test_simulation_csv_layout(tmp_path):
     rep = run_simulation(n_vertices=4, treat_size=1, n=120, reps=3, seed=5)
     path = tmp_path / "report.csv"
@@ -402,6 +433,18 @@ def test_cli_estimate_rejects_too_few_replicates(
         )
     assert code == 3 and out == ""
     assert err == f"bad input: need at least 2 bootstrap replicates, got {n_boot}\n"
+
+
+@pytest.mark.parametrize("level", ["5", "0", "nan"])
+def test_cli_estimate_checks_level_without_a_bootstrap(capsys, chain_graph_file, chain_data_file,
+                                                      level):
+    data_path, _ = chain_data_file
+    code, out, err = _run(
+        capsys, "estimate", "--graph", chain_graph_file, "--data", data_path,
+        "--treat", "a", "--outcome", "y", "--level", level,
+    )
+    assert code == 3 and out == "" and err.startswith("bad input: ")
+    assert "level must be" in err
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -61,3 +61,37 @@ def test_package_exports_every_module_export():
         missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
                     if name not in causaleffects.__all__]
     assert not missing, f"module exports missing from the package __all__: {missing}"
+
+
+# the numeric types whose isinstance tests belong to errors.py alone
+_NUMERIC_NAMES = {"int", "float", "Number", "Complex", "Real", "Rational", "Integral"}
+_NUMERIC_ATTRIBUTES = {"integer", "floating", "number", "Number", "Complex", "Real",
+                       "Rational", "Integral"}
+
+
+def _numeric_type_tests(tree: ast.Module) -> list[int]:
+    """Lines of ``isinstance`` calls against ``int``, ``float``,
+    ``np.integer``, ``np.floating`` or a ``numbers`` class."""
+    def numeric(node) -> bool:
+        if isinstance(node, ast.Tuple):
+            return any(map(numeric, node.elts))
+        if isinstance(node, ast.Name):
+            return node.id in _NUMERIC_NAMES
+        return isinstance(node, ast.Attribute) and node.attr in _NUMERIC_ATTRIBUTES
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and numeric(node.args[1])]
+
+
+def test_numeric_type_tests_live_in_errors_only():
+    """What a count and a finite number are is decided once, in
+    ``errors._integer`` and ``errors._finite``."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _numeric_type_tests(tree)]
+    assert not found, f"numeric isinstance tests outside errors.py: {found}"
