@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -97,18 +98,9 @@ def _load_graph(path: str, strict: bool):
         raise _CliInputError(f"cannot read graph: {e}") from None
 
 
-def _read_data_csv(path: str, vertices: tuple[str, ...]):
-    """CSV with a header whose columns match the graph's vertex labels
-    exactly (any order); finite decimal values.  Blank lines are skipped,
-    and a leading byte-order mark is ignored."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]  # drops blank lines
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise _CliInputError(f"cannot read data: {e}") from None
-    if not rows:
-        raise _CliInputError("data file is empty")
-    header, rows = [h.strip() for h in rows[0]], rows[1:]
+def _check_header(header: list[str], vertices: tuple[str, ...]) -> None:
+    """Refuse a data header that names other columns than the graph's
+    vertices, or one of them twice."""
     missing = [v for v in vertices if v not in header]
     extra = [h for h in header if h not in vertices]
     if missing or extra:
@@ -120,17 +112,63 @@ def _read_data_csv(path: str, vertices: tuple[str, ...]):
         raise _CliInputError("data columns do not match the graph: " + "; ".join(parts))
     if len(set(header)) != len(header):
         raise _CliInputError("duplicate data columns")
+
+
+def _read_data_csv(path: str, vertices: tuple[str, ...]):
+    """CSV with a header whose columns match the graph's vertex labels
+    exactly (any order); finite decimal values.  Blank lines are skipped,
+    and a leading byte-order mark is ignored.
+
+    The header is read by :mod:`csv` and the body once, by numpy's C
+    reader.  A file that reader refuses is read again row by row, only to
+    name its fault (:func:`_refuse_data_csv`)."""
+    fault = None
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = next(filter(None, csv.reader(fh)), None)  # skips blank lines
+            try:
+                with warnings.catch_warnings():  # a header-only file is refused below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    x = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                   ndmin=2, dtype=float)
+            except ValueError as e:  # decoding errors included
+                x, fault = None, e
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise _CliInputError(f"cannot read data: {e}") from None
+    if x is not None and header is not None:
+        header = [h.strip() for h in header]
+        _check_header(header, vertices)
+        if x.size and x.shape[1] == len(header) and np.all(np.isfinite(x)):
+            return x[:, [header.index(v) for v in vertices]]
+    _refuse_data_csv(path, vertices, fault)
+
+
+def _refuse_data_csv(path: str, vertices: tuple[str, ...], fault: ValueError | None):
+    """Raise the fault of a data file that :func:`_read_data_csv` refuses,
+    found row by row, in this order: reading, an empty file, the header,
+    a ragged row, a non-decimal value, a non-finite value.  ``fault`` is
+    the C reader's error, if it raised one; it is the message for a value
+    that Python's ``float`` reads and the C reader does not (``1_000``,
+    non-ASCII digits)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]  # drops blank lines
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise _CliInputError(f"cannot read data: {e}") from None
+    if not rows:
+        raise _CliInputError("data file is empty")
+    header, rows = [h.strip() for h in rows[0]], rows[1:]
+    _check_header(header, vertices)
     for k, row in enumerate(rows, 1):
         if len(row) != len(header):
             raise _CliInputError(f"data row {k} has {len(row)} fields, the header has {len(header)}")
     try:
-        x = np.array(rows, dtype=float)
+        np.array(rows, dtype=float)
     except ValueError as e:
-        raise _CliInputError(f"data values must be decimals: {e}") from None
-    if x.size == 0 or not np.all(np.isfinite(x)):
-        raise _CliInputError("data values must be finite and non-empty")
-    order = [header.index(v) for v in vertices]
-    return x[:, order]
+        fault = e
+    if fault is not None:
+        raise _CliInputError(f"data values must be decimals: {fault}")
+    raise _CliInputError("data values must be finite and non-empty")
 
 
 def _cmd_graph(args) -> int:

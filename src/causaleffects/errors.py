@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one rule for what a
-count and a finite number are."""
+count, a finite number, a flag and a float array are."""
 
 import math
 
@@ -64,6 +64,22 @@ def _finite(value, name: str) -> float:
         if math.isfinite(number):
             return number
     raise GraphValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _flag(value, name: str) -> bool:
+    """``value`` as a Python bool when it is a Python or numpy bool; raises
+    :class:`GraphValidationError` otherwise."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise GraphValidationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _float_array(value, name: str, error: type[CausalEffectsError]) -> np.ndarray:
+    """``value`` as a float array; ``error`` when an entry is not a number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise error(f"{name} must hold numbers: {e}") from None
 
 
 def _check_seed(seed) -> int:

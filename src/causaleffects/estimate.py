@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DegenerateSampleError, GraphValidationError, IllConditionedError,
-                     _check_seed, _finite, _integer)
+                     _check_seed, _finite, _flag, _float_array, _integer)
 from .graph import BucketDecomposition, Pdag, _check_treatment
 from .identify import IdentificationPlan, build_plan
 
@@ -85,7 +85,8 @@ class SampleCovariance:
 
     ``n`` is the number of rows behind the estimate, an integer of at least
     1 (stored as a Python int); population covariances use ``n=None``.  The
-    matrix must be symmetric (to 1e-12) and positive definite, and
+    matrix must hold numbers, be symmetric (to 1e-12) and positive definite
+    (:class:`DegenerateSampleError`), and
     ``vertex_order`` must not repeat a label (:class:`GraphValidationError`
     for the label and for ``n``); :meth:`positions` refuses a label outside
     it.
@@ -102,7 +103,7 @@ class SampleCovariance:
             if n < 1:
                 raise GraphValidationError(f"n must be at least 1, got {n}")
             object.__setattr__(self, "n", n)
-        m = np.asarray(self.matrix, dtype=float)
+        m = _float_array(self.matrix, "covariance matrix", DegenerateSampleError)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "vertex_order", tuple(self.vertex_order))
         object.__setattr__(self, "_index", _label_index(self.vertex_order))
@@ -129,7 +130,7 @@ class SampleCovariance:
 def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
     """``data`` as a float matrix with one finite column per label and more
     rows than columns, else :class:`DegenerateSampleError`."""
-    x = np.asarray(data, dtype=float)
+    x = _float_array(data, "data", DegenerateSampleError)
     if x.ndim != 2:
         raise DegenerateSampleError("data must be a 2d array")
     n, p = x.shape
@@ -147,6 +148,15 @@ def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
     return x
 
 
+def _second_moment(x: np.ndarray, center: bool) -> np.ndarray:
+    """``X'X / n`` of the rows of ``x``, centred first if ``center``, made
+    exactly symmetric."""
+    if center:
+        x = x - x.mean(axis=0)
+    s = x.T @ x / len(x)
+    return (s + s.T) / 2.0
+
+
 def sample_covariance(
     data: np.ndarray, vertex_order: Sequence[str], center: bool = False
 ) -> SampleCovariance:
@@ -154,15 +164,14 @@ def sample_covariance(
 
     Data are taken as already mean-zero, matching the population
     convention; ``center=True`` subtracts column means first.  Requires
-    ``n > p``, finite values and one column per label
-    (:class:`DegenerateSampleError`), and refuses a repeated label as
+    ``n > p``, numeric and finite values and one column per label
+    (:class:`DegenerateSampleError`), refuses a ``center`` that is not a
+    bool (:class:`GraphValidationError`), and refuses a repeated label as
     :class:`SampleCovariance` does.
     """
+    center = _flag(center, "center")
     x = _data_matrix(data, vertex_order)
-    if center:
-        x = x - x.mean(axis=0)
-    s = x.T @ x / len(x)
-    return SampleCovariance((s + s.T) / 2.0, tuple(vertex_order), n=len(x))
+    return SampleCovariance(_second_moment(x, center), tuple(vertex_order), n=len(x))
 
 
 def _solve_spd_stack(a: np.ndarray, b: np.ndarray, what: str | None = None):
@@ -543,10 +552,12 @@ def adjustment_estimate(
     restricted to the treatment block.  Only valid adjustment sets make
     this consistent; the function does not check validity.
 
-    ``columns`` names the data columns; a repeated column label, or a
-    treatment, outcome or adjustment label outside ``columns``, raises
-    :class:`GraphValidationError` before any moment is formed.
+    ``columns`` names the data columns; a repeated column label, a
+    treatment, outcome or adjustment label outside ``columns``, or a
+    ``center`` that is not a bool, raises :class:`GraphValidationError`
+    before any moment is formed.
     """
+    center = _flag(center, "center")
     treatment, adjust = _check_treatment(treatment, outcome), tuple(adjust)
     if len(set(adjust)) != len(adjust):
         raise GraphValidationError("adjustment set labels must be distinct")
@@ -624,8 +635,8 @@ def bootstrap_ci(
     counter-derived stream of the master seed (the Philox generator keyed
     by the seed, with r in its counter's third word), so results are
     reproducible for any worker count.  A replicate is rejected when its
-    full resampled covariance is not positive definite
-    (:func:`sample_covariance`), or when a plan bucket's parent covariance
+    full resampled covariance is not finite and positive definite (the test
+    :class:`SampleCovariance` makes), or when a plan bucket's parent covariance
     is not positive definite or has a condition number above
     :data:`COND_LIMIT`; buckets outside the plan are not fitted and reject
     nothing.  Rejected replicates are redrawn
@@ -642,11 +653,13 @@ def bootstrap_ci(
     counterpart of the delta-method acov).  ``n_boot`` below 2 or not an
     integer raises :class:`GraphValidationError` (one replicate has no
     spread), and so do a ``level`` that is not a finite number in (0, 1),
-    a seed that is not an integer in [0, 2**64), a repeated column label
-    and ``columns`` naming other vertices than the plan's graph.  Data
-    that :func:`sample_covariance` refuses are refused before any draw.
+    a seed that is not an integer in [0, 2**64), a ``center`` that is not
+    a bool, a repeated column label and ``columns`` naming other vertices
+    than the plan's graph.  Data that :func:`sample_covariance` refuses are
+    refused before any draw.
     """
     n_boot, level, seed = _check_bootstrap(n_boot, level, seed)
+    center = _flag(center, "center")
     col = _label_index(columns, plan.buckets.vertex_order, "data columns and plan")
     x = _data_matrix(data, columns)
     n = x.shape[0]
@@ -671,9 +684,14 @@ def bootstrap_ci(
         for r in range(need):
             rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream + r, 0]))
             idx = rng.integers(0, n, size=n)
+            # the rows are checked data and s is symmetric by construction;
+            # reject where SampleCovariance would
+            s = _second_moment(x[idx], center)
+            if not np.all(np.isfinite(s)):
+                continue
             try:
-                s = sample_covariance(x[idx], columns, center=center).matrix
-            except DegenerateSampleError:
+                np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
                 continue
             stack[r] = s[np.ix_(sub, sub)]
             kept[r] = True
@@ -716,8 +734,8 @@ def estimate_total_effect(
 
     Exactly one of ``data`` (rows, with ``columns`` naming them; defaults
     to the graph's vertex order) or ``cov`` must be given, and ``columns``
-    and ``center=True`` only with ``data``.  Bootstrap intervals require
-    raw data; ``n_boot=0`` asks for none.  Raises
+    and ``center=True`` only with ``data``; ``center`` must be a bool.
+    Bootstrap intervals require raw data; ``n_boot=0`` asks for none.  Raises
     :class:`NotIdentifiedError` when the effect is not identified from
     ``graph``.  Arguments are checked before any work: the bootstrap's
     first, as :func:`bootstrap_ci` checks them (``n_boot`` must be an
@@ -728,6 +746,7 @@ def estimate_total_effect(
         raise GraphValidationError("pass exactly one of data= or cov=")
     if columns is not None and data is None:
         raise GraphValidationError("columns= names data columns; it needs data=, not cov=")
+    center = _flag(center, "center")
     if center and data is None:
         raise GraphValidationError("center= centres data columns; it needs data=, not cov=")
     n_boot = _integer(n_boot, "n_boot")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GraphValidationError, _check_seed, _finite, _integer
+from .errors import GraphValidationError, _check_seed, _finite, _flag, _float_array, _integer
 from .graph import Pdag, _check_query, graph_from_dict, graph_to_dict
 from .identify import build_plan
 from .estimate import BlockRecursiveModel, effect_from_lambda
@@ -97,8 +97,8 @@ class ErrorSpec:
 class LinearSem:
     """A DAG plus edge coefficients and per-vertex error specs.
 
-    ``gamma`` must be a finite p x p matrix that is zero off the DAG's
-    edges, and ``errors`` one :class:`ErrorSpec` per vertex, else
+    ``gamma`` must be a finite p x p matrix of numbers that is zero off
+    the DAG's edges, and ``errors`` one :class:`ErrorSpec` per vertex, else
     :class:`GraphValidationError`."""
 
     graph: Pdag
@@ -108,7 +108,7 @@ class LinearSem:
     def __post_init__(self):
         if not self.graph.is_dag:
             raise GraphValidationError("a linear SEM needs a DAG, not a partial graph")
-        g = np.asarray(self.gamma, dtype=float)
+        g = _float_array(self.gamma, "gamma", GraphValidationError)
         object.__setattr__(self, "gamma", g)
         p = self.graph.n_vertices
         if g.shape != (p, p):
@@ -201,8 +201,11 @@ def random_sem(
     ``rescale=True``, incoming coefficients are shrunk, in causal order, so
     each implied marginal variance stays at most max(6, error variance +
     0.25); this keeps the variance profile flat without zeroing any edge.
+    A ``rescale`` that is not a bool raises :class:`GraphValidationError`
+    before any draw.
     """
     _check_family(family)
+    rescale = _flag(rescale, "rescale")
     p = dag.n_vertices
     gamma = np.zeros((p, p))
     for u, v in dag.directed_edges:

@@ -20,7 +20,7 @@ from statistics import median
 import numpy as np
 
 from .errors import (CausalEffectsError, GraphValidationError, NotIdentifiedError,
-                     _check_seed, _integer)
+                     _check_seed, _flag, _integer)
 from .estimate import (
     SampleCovariance,
     _adjustment_from_cov,
@@ -144,11 +144,13 @@ def run_simulation(
     integer in [0, 2**64), a count among ``n_vertices``, ``treat_size``,
     ``n`` and ``reps`` that is not an integer, fewer than two vertices, a
     treatment size outside [1, n_vertices), a sample size n <= n_vertices,
-    fewer than one replication and a ``family`` that :func:`random_sem`
-    refuses.  ``params`` holds the counts and the seed as Python ints."""
+    fewer than one replication, a ``rescale`` that is not a bool and a
+    ``family`` that :func:`random_sem` refuses.  ``params`` holds the
+    counts and the seed as Python ints and ``rescale`` as a Python bool."""
     seed = _check_seed(seed)
     n_vertices, treat_size = _integer(n_vertices, "n_vertices"), _integer(treat_size, "treat_size")
     n, reps = _integer(n, "n"), _integer(reps, "reps")
+    rescale = _flag(rescale, "rescale")
     _check_family(family)
     if n_vertices < 2:
         raise GraphValidationError(f"need at least two vertices, got {n_vertices}")

@@ -399,6 +399,54 @@ def test_estimate_refuses_a_bootstrap_on_cov_before_fitting(chain_sem, monkeypat
         estimate_total_effect(g, ("a",), "y", cov=cov, n_boot=100)
 
 
+def test_non_numeric_entries_are_degenerate_samples(chain_sem):
+    g = chain_sem.graph
+    data = sample(chain_sem, 50, rng_from_seed(3)).astype(object)
+    data[2, 1] = "x"
+    with pytest.raises(DegenerateSampleError,
+                       match="data must hold numbers: could not convert string to float: 'x'"):
+        sample_covariance(data, g.vertices)
+    m = chain_sem.implied_covariance().astype(object)
+    m[0, 0] = "x"
+    with pytest.raises(DegenerateSampleError, match="covariance matrix must hold numbers: "):
+        SampleCovariance(m, g.vertices)
+
+
+# every entry point that takes ``center``, called with it
+_CENTERED = {
+    "sample_covariance": lambda g, data, center: sample_covariance(data, g.vertices, center),
+    "adjustment_estimate": lambda g, data, center: adjustment_estimate(
+        data, g.vertices, ("a",), "y", ("m",), center=center),
+    "bootstrap_ci": lambda g, data, center: bootstrap_ci(
+        data, g.vertices, build_plan(g, ("a",), "y"), n_boot=20, center=center),
+    "estimate_total_effect": lambda g, data, center: estimate_total_effect(
+        g, ("a",), "y", data=data, center=center),
+}
+
+
+@pytest.mark.parametrize("entry", list(_CENTERED))
+@pytest.mark.parametrize("center", ["no", 0, 1, None, np.array([True])])
+def test_center_must_be_a_bool(chain_sem, monkeypatch, entry, center):
+    """``center`` is checked, not read by truth value, before any moment."""
+    def no_moments(*args):
+        raise AssertionError("a moment was formed before center was checked")
+
+    monkeypatch.setattr("causaleffects.estimate._second_moment", no_moments)
+    data = sample(chain_sem, 100, rng_from_seed(3))
+    with pytest.raises(GraphValidationError,
+                       match=re.escape(f"center must be a bool, got {center!r}")):
+        _CENTERED[entry](chain_sem.graph, data, center)
+
+
+@pytest.mark.parametrize("entry", list(_CENTERED))
+def test_center_reads_a_numpy_bool_as_a_bool(chain_sem, entry):
+    data = sample(chain_sem, 100, rng_from_seed(3)) + 1.0
+    for center in (False, True):
+        got = _CENTERED[entry](chain_sem.graph, data, np.bool_(center))
+        want = _CENTERED[entry](chain_sem.graph, data, center)
+        assert repr(got) == repr(want)
+
+
 def _counting(monkeypatch, name):
     """Wrap ``causaleffects.estimate.<name>`` so each call is recorded."""
     import causaleffects.estimate as module
@@ -721,6 +769,17 @@ def test_bootstrap_matches_per_replicate_loop(chain_sem, center):
         _bootstrap_against_loop(data, labels, build_plan(g, a, y),
                                 n_boot=30, level=0.95, seed=done, center=center)
         done += 1
+
+
+def test_bootstrap_forms_no_sample_covariance(chain_sem, monkeypatch):
+    """Replicates form their moments directly from checked rows: a
+    bootstrapped estimate calls sample_covariance once, for its point
+    estimate."""
+    calls = _counting(monkeypatch, "sample_covariance")
+    data = sample(chain_sem, 200, rng_from_seed(3))
+    est = estimate_total_effect(chain_sem.graph, ("a",), "y", data=data, n_boot=30,
+                                center=True)
+    assert len(calls) == 1 and est.boot_rejected == 0
 
 
 @pytest.mark.parametrize("floor", [0.0, 1e-7])

@@ -89,7 +89,7 @@ def test_linear_sem_validates_support(chain_sem):
 
 
 def _gamma_with(sem, value):
-    gamma = sem.gamma.copy()
+    gamma = sem.gamma.astype(object)
     gamma[0, 1] = value  # the edge a -> m
     return gamma
 
@@ -147,6 +147,8 @@ _BAD_NUMBERS = {
                             "gamma contains non-finite values"),
     "LinearSem gamma inf": (lambda sem: LinearSem(sem.graph, _gamma_with(sem, np.inf), sem.errors),
                             "gamma contains non-finite values"),
+    "LinearSem gamma 'x'": (lambda sem: LinearSem(sem.graph, _gamma_with(sem, "x"), sem.errors),
+                            "gamma must hold numbers: could not convert string to float: 'x'"),
     "LinearSem error str": (lambda sem: LinearSem(sem.graph, sem.gamma, ("gaussian",) * 3),
                             "errors must be ErrorSpec instances, got 'gaussian'"),
     "efficiency_bound w too long": (lambda sem: _bound(sem, np.ones(2)),
@@ -262,6 +264,16 @@ def test_rescale_caps_variance_spread(rng):
         assert ratio <= 20.0
         assert marg.max() <= 6.25 + 1e-9
     assert worst > 1.0
+
+
+@pytest.mark.parametrize("rescale", ["no", 1, None])
+def test_rescale_must_be_a_bool(rescale):
+    dag = random_dag(5, 2.0, rng_from_seed(1))
+    rng = rng_from_seed(2)
+    with pytest.raises(GraphValidationError,
+                       match=re.escape(f"rescale must be a bool, got {rescale!r}")):
+        random_sem(dag, rng, rescale=rescale)
+    assert rng.random() == rng_from_seed(2).random()  # nothing drawn
 
 
 def test_rescale_preserves_support(rng):

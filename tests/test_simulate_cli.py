@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causaleffects
 from causaleffects import (
     ERROR_FAMILIES,
     GraphValidationError,
@@ -21,7 +25,7 @@ from causaleffects import (
     sample,
     save_graph,
 )
-from causaleffects.cli import main
+from causaleffects.cli import _read_data_csv, main
 from causaleffects.simulate import CSV_COLUMNS, REPORT_HEADER, run_simulation
 
 from .conftest import exact_cov_data
@@ -129,6 +133,25 @@ def test_simulation_refuses_non_integer_counts_before_any_draw(monkeypatch, kwar
     kw = {"n_vertices": 6, "treat_size": 1, "n": 100, "reps": 2, "seed": 0, **kwargs}
     with pytest.raises(GraphValidationError, match=re.escape(message)):
         run_simulation(**kw)
+
+
+@pytest.mark.parametrize("rescale", ["no", 0, None])
+def test_simulation_refuses_a_non_bool_rescale_before_any_draw(monkeypatch, rescale):
+    def no_draws(*args):
+        raise AssertionError("run_simulation drew before checking its arguments")
+
+    monkeypatch.setattr("causaleffects.simulate.rng_from_seed", no_draws)
+    with pytest.raises(GraphValidationError,
+                       match=re.escape(f"rescale must be a bool, got {rescale!r}")):
+        run_simulation(n_vertices=5, treat_size=1, n=50, reps=1, seed=0, rescale=rescale)
+
+
+def test_simulation_reads_a_numpy_bool_rescale_as_a_bool():
+    kw = dict(n_vertices=5, treat_size=1, n=60, reps=2, seed=3)
+    got = run_simulation(**kw, rescale=np.True_)
+    want = run_simulation(**kw, rescale=True)
+    assert got.params["rescale"] is True and got.summary_json() == want.summary_json()
+    assert got.records == want.records
 
 
 def test_simulation_summary_reads_back_with_numpy_counts():
@@ -418,6 +441,174 @@ def test_cli_id_ignores_a_byte_order_mark(capsys, tmp_path, chain_graph_file):
     runs = [_run(capsys, "id", "--graph", g, "--treat", "a", "--outcome", "y")
             for g in (chain_graph_file, str(path))]
     assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+def _csv_text(rows, cell="{}", end="\n"):
+    return "".join(",".join(cell.format(v) for v in row) + end for row in rows)
+
+
+# layouts the data reader accepts, each applied to every row, header included
+_ACCEPTED_LAYOUTS = {
+    "crlf": lambda rows: _csv_text(rows, end="\r\n"),
+    "cr_only": lambda rows: _csv_text(rows, end="\r"),
+    "padded": lambda rows: _csv_text(rows, cell="  {} "),
+    "tab_padded": lambda rows: _csv_text(rows, cell="\t{}\t"),
+    "quoted": lambda rows: _csv_text(rows, cell='"{}"'),
+    "quoted_newline": lambda rows: _csv_text(rows, cell='"{}\n"'),
+    "blank_lines": lambda rows: "\n\r\n" + _csv_text(rows, end="\n\n"),
+    "no_final_newline": lambda rows: _csv_text(rows)[:-1],
+    "form_feed": lambda rows: _csv_text(rows, cell="\f{}"),
+    "non_breaking_space": lambda rows: _csv_text(rows, cell="{}\xa0"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_ACCEPTED_LAYOUTS))
+def test_cli_estimate_reads_every_accepted_layout(capsys, tmp_path, chain_graph_file,
+                                                  chain_data_file, layout):
+    """A file in each layout estimates exactly as the plain CSV of the same
+    values does, bootstrap included."""
+    data_path, _ = chain_data_file
+    with open(data_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    path = tmp_path / "layout.csv"
+    path.write_text(_ACCEPTED_LAYOUTS[layout](rows), encoding="utf-8", newline="")
+    runs = [
+        _run(capsys, "estimate", "--graph", chain_graph_file, "--data", d,
+             "--treat", "a", "--outcome", "y", "--bootstrap", "20")
+        for d in (data_path, str(path))
+    ]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+def test_reader_reads_a_single_column(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("a\n1.5\n\n-2\n")
+    assert _read_data_csv(str(path), ("a",)).tolist() == [[1.5], [-2.0]]
+
+
+_BASE = "a,m,y\n1,2,3\n4,5,6\n"
+_DECIMALS = "input error: data values must be decimals: could not convert string to float: "
+_FINITE = "input error: data values must be finite and non-empty\n"
+
+# file contents the reader refuses, and the whole stderr of `estimate` (a
+# message without a final newline is a prefix: the rest is the codec's)
+_REFUSED_LAYOUTS = {
+    "hash_in_field": (_BASE + "1,2,#3\n", _DECIMALS + "'#3'\n"),
+    "comment_line": (_BASE + "# note\n", "input error: data row 3 has 1 fields, the header has 3\n"),
+    "whitespace_line": (_BASE + "   \n", "input error: data row 3 has 1 fields, the header has 3\n"),
+    "trailing_comma": (_BASE + "1,2,3,\n", "input error: data row 3 has 4 fields, the header has 3\n"),
+    "empty_field": (_BASE + "1,,3\n", _DECIMALS + "''\n"),
+    "nul": (_BASE + "1,2\x00,3\n", _DECIMALS + "'2\\x00'\n"),
+    "doubled_quote": (_BASE + '"1""2",2,3\n', _DECIMALS + "'1\"2'\n"),
+    "unterminated_quote": (_BASE + '"1,2,3\n',
+                           "input error: data row 3 has 1 fields, the header has 3\n"),
+    "quoted_comma": (_BASE + '"1,5",2,3\n', _DECIMALS + "'1,5'\n"),
+    "hex": (_BASE + "0x10,2,3\n", _DECIMALS + "'0x10'\n"),
+    "fortran_exponent": (_BASE + "1d3,2,3\n", _DECIMALS + "'1d3'\n"),
+    "nan": (_BASE + "nan,2,3\n", _FINITE),
+    "overflow": (_BASE + "1,-1e999,3\n", _FINITE),
+    "ragged_before_a_word": (_BASE + "1,2\nx,1,2\n",
+                             "input error: data row 3 has 2 fields, the header has 3\n"),
+    "word_before_nan": (_BASE + "x,1,2\nnan,1,2\n", _DECIMALS + "'x'\n"),
+    "header_before_a_word": ("a,m,q\n1,2,x\n", "input error: data columns do not match the "
+                             "graph: missing graph vertices ['y']; columns ['q'] are not graph "
+                             "vertices\n"),
+    "blank_only": ("\n\r\n\n", "input error: data file is empty\n"),
+    "long_word": (_BASE + "1,2," + "x" * 200_000 + "\n",
+                  "input error: cannot read data: field larger than field limit (131072)\n"),
+    "late_latin1_after_a_header_mismatch": (
+        ("a,m,q\n" + "1,2,3\n" * 3000).encode() + "é,1,2\n".encode("latin-1"),
+        "input error: cannot read data: 'utf-8' codec can't decode byte 0xe9 in position "),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_REFUSED_LAYOUTS))
+def test_cli_estimate_refuses_every_malformed_layout(capsys, tmp_path, chain_graph_file, layout):
+    text, message = _REFUSED_LAYOUTS[layout]
+    path = tmp_path / "bad.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8", newline="")
+    code, out, err = _run(
+        capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
+        "--treat", "a", "--outcome", "y",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["a,m,y\n", "a,m,y\n\n\r\n", "a,m,y"])
+def test_cli_estimate_refuses_a_header_only_file_without_a_warning(capsys, tmp_path,
+                                                                   chain_graph_file, text):
+    path = tmp_path / "header.csv"
+    path.write_text(text, newline="")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = _run(capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
+                   "--treat", "a", "--outcome", "y")
+    assert got == (3, "", _FINITE)
+    assert not seen
+
+
+@pytest.mark.parametrize(
+    "field, plain",
+    [("0." + "0" * 150_000 + "1", "0"),  # longer than csv's field limit
+     ("2\x1c", "2")],  # padded with an ASCII separator, as numpy strips it
+    ids=["long_decimal", "separator_padding"],
+)
+def test_cli_estimate_reads_a_decimal_that_only_numpy_reads(capsys, tmp_path, chain_graph_file,
+                                                            chain_data_file, field, plain):
+    """Declared: numpy's reader decides what a decimal is, so these values
+    read as the plain value does; csv and Python's float refused them."""
+    data_path, _ = chain_data_file
+    text = Path(data_path).read_text()
+    runs = []
+    for name, value in (("plain", plain), ("field", field)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text + f"1.5,{value},-0.5\n", newline="")
+        runs.append(_run(capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
+                         "--treat", "a", "--outcome", "y"))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("field", ["1_000", "\u0661", "\uff11"])
+def test_cli_estimate_refuses_a_value_only_python_float_reads(capsys, tmp_path, chain_graph_file,
+                                                              field):
+    """Declared: digit-group underscores and non-ASCII digits, which
+    Python's float reads, are not decimals."""
+    path = tmp_path / "digits.csv"
+    path.write_text(_BASE + f"1,2,{field}\n" * 3, encoding="utf-8")
+    code, out, err = _run(capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
+                          "--treat", "a", "--outcome", "y")
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert err.startswith("input error: data values must be decimals: ") and f"'{field}'" in err
+
+
+def test_reader_memory_stays_within_a_small_multiple_of_the_array(tmp_path):
+    """Reading a 100,000 x 10 file raises the peak resident set by at most
+    4x the array's size; keeping every field as a Python string took ~15x."""
+    labels = [f"v{j}" for j in range(10)]
+    block = np.random.default_rng(3).standard_normal((1000, 10))
+    path = tmp_path / "big.csv"
+    path.write_text(",".join(labels) + "\n"
+                    + (("%.17g," * 9 + "%.17g\n") * 1000 % tuple(block.ravel())) * 100)
+    script = (
+        "import json, sys\n"
+        "from causaleffects.cli import _read_data_csv\n"
+        "def peak():  # kB; ru_maxrss would keep the forking process's peak across exec\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "before = peak()\n"
+        "x = _read_data_csv(sys.argv[1], tuple(sys.argv[2:]))\n"
+        "print(json.dumps([before, peak(), x.nbytes, list(x.shape)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(causaleffects.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(path), *labels], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    before, after, nbytes, shape = json.loads(done.stdout)
+    assert shape == [100_000, 10]
+    assert (after - before) * 1024 <= 4 * nbytes, (after - before) * 1024 / nbytes
 
 
 @pytest.mark.parametrize("n_boot", ["-1", "1"])
