@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import warnings
 
@@ -149,7 +150,8 @@ def _refuse_data_csv(path: str, vertices: tuple[str, ...], fault: ValueError | N
     a ragged row, a non-decimal value, a non-finite value.  ``fault`` is
     the C reader's error, if it raised one; it is the message for a value
     that Python's ``float`` reads and the C reader does not (``1_000``,
-    non-ASCII digits)."""
+    non-ASCII digits), with its row numbered as the ragged-row message
+    numbers rows."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]  # drops blank lines
@@ -165,9 +167,12 @@ def _refuse_data_csv(path: str, vertices: tuple[str, ...], fault: ValueError | N
     try:
         np.array(rows, dtype=float)
     except ValueError as e:
-        fault = e
+        raise _CliInputError(f"data values must be decimals: {e}") from None
     if fault is not None:
-        raise _CliInputError(f"data values must be decimals: {fault}")
+        # numpy counts the non-blank body rows from 0, the ragged-row message from 1
+        text = re.sub(r"at row (\d+), (column \d+\.)$",
+                      lambda m: f"at data row {int(m[1]) + 1}, {m[2]}", str(fault))
+        raise _CliInputError(f"data values must be decimals: {text}")
     raise _CliInputError("data values must be finite and non-empty")
 
 

@@ -174,9 +174,17 @@ def sample_covariance(
     return SampleCovariance(_second_moment(x, center), tuple(vertex_order), n=len(x))
 
 
+def _condition(a: np.ndarray) -> np.ndarray:
+    """The condition number of each symmetric matrix in the stack ``a``
+    (B, p, p) by ``eigvalsh``; inf where one is not positive definite."""
+    w = np.linalg.eigvalsh(a)
+    pd = w[:, 0] > 0
+    return np.where(pd, w[:, -1] / np.where(pd, w[:, 0], 1.0), np.inf)
+
+
 def _solve_spd_stack(a: np.ndarray, b: np.ndarray, what: str | None = None):
     """Solve the stacked systems ``a[i] x = b[i]`` for symmetric ``a`` of
-    shape (B, p, p) and ``b`` of shape (B, p, m).
+    shape (B, p, p), p >= 1, and ``b`` of shape (B, p, m).
 
     A system is solved only when ``eigvalsh`` finds ``a[i]`` positive
     definite with condition number at most :data:`COND_LIMIT`.  Returns
@@ -184,13 +192,11 @@ def _solve_spd_stack(a: np.ndarray, b: np.ndarray, what: str | None = None):
     each condition number (inf when not positive definite).  Given ``what``,
     a refused system raises :class:`IllConditionedError` naming it instead.
     """
-    if a.shape[-1] == 0:
-        return np.zeros(b.shape), np.ones(len(a), dtype=bool), np.ones(len(a))
-    w = np.linalg.eigvalsh(a)
-    pd = w[:, 0] > 0
-    cond = np.where(pd, w[:, -1] / np.where(pd, w[:, 0], 1.0), np.inf)
+    cond = _condition(a)
     ok = cond <= COND_LIMIT
-    if what is not None and not ok.all():
+    if ok.all():
+        return np.linalg.solve(a, b), ok, cond
+    if what is not None:
         bad = float(cond[~ok][0])
         reason = ("matrix is not positive definite" if bad == float("inf") else
                   f"condition number {bad:.3e} exceeds {COND_LIMIT:.0e}")
@@ -241,26 +247,48 @@ def _fit_stack(
     its column.
 
     Each bucket's test and solve run once on the whole stack through
-    :func:`_solve_spd_stack`.  Returns ``(lambdas, omegas, ok)``: the blocks,
-    with the stack axis, keyed by fitted bucket index, and whether every
-    fitted bucket accepted each matrix.  ``strict`` raises
-    :class:`IllConditionedError` for the first bucket refusing any matrix.
+    :func:`_solve_spd_stack`.  By Cauchy interlacing a principal submatrix
+    is no worse conditioned than the whole matrix, so one test of the
+    widest fitted parent set comes first: when every matrix of the stack
+    passes it with condition number at most ``COND_LIMIT / 2`` (a margin
+    far above the rounding of ``eigvalsh``), the buckets whose parents lie
+    inside it are solved untested, as their own tests would pass.
+    Otherwise every bucket is tested in turn.  Returns ``(lambdas, omegas,
+    ok)``: the blocks, with the stack axis, keyed by fitted bucket index,
+    and whether every fitted bucket accepted each matrix.  ``strict``
+    raises :class:`IllConditionedError` for the first bucket refusing any
+    matrix.
     """
+    parents, members = buckets.external_parents, buckets.buckets
+    vouched = set()
+    widest = max(fitted, key=lambda k: len(parents[k]), default=None)
+    if widest is not None and parents[widest]:
+        wi = np.array([local[u] for u in parents[widest]], dtype=int)
+        if np.all(_condition(stack[:, wi[:, None], wi]) <= COND_LIMIT / 2):
+            inside = set(parents[widest])
+            vouched = {k for k in fitted if inside.issuperset(parents[k])}
     lambdas, omegas = {}, {}
     ok = np.ones(len(stack), dtype=bool)
     for k in fitted:
-        pa, bucket = buckets.external_parents[k], buckets.buckets[k]
-        pi = np.array([local[u] for u in pa], dtype=int)
-        bi = np.array([local[v] for v in bucket], dtype=int)
-        spb = stack[:, pi[:, None], bi]
-        what = f"regression of bucket {bucket} on {pa}" if strict else None
-        lam, bucket_ok, _ = _solve_spd_stack(stack[:, pi[:, None], pi], spb, what)
-        ok &= bucket_ok
-        omega = stack[:, bi[:, None], bi]
-        if pa:  # a parentless bucket keeps its marginal block as it is
-            omega = omega - spb.transpose(0, 2, 1) @ lam
-            omega = (omega + omega.transpose(0, 2, 1)) / 2.0
-        lambdas[k], omegas[k] = lam, omega
+        pa, bucket = parents[k], members[k]
+        q = len(pa)
+        idx = np.array([local[v] for v in pa + bucket], dtype=int)
+        block = stack[:, idx[:, None], idx]
+        omega = block[:, q:, q:]
+        if not q:  # a parentless bucket keeps its marginal block as it is
+            lambdas[k], omegas[k] = np.zeros((len(stack), 0, len(bucket))), omega
+            continue
+        # contiguous copies: solve and @ may round a strided operand otherwise
+        spp = np.ascontiguousarray(block[:, :q, :q])
+        spb = np.ascontiguousarray(block[:, :q, q:])
+        if k in vouched:
+            lam = np.linalg.solve(spp, spb)
+        else:
+            what = f"regression of bucket {bucket} on {pa}" if strict else None
+            lam, bucket_ok, _ = _solve_spd_stack(spp, spb, what)
+            ok &= bucket_ok
+        omega = omega - spb.transpose(0, 2, 1) @ lam
+        lambdas[k], omegas[k] = lam, (omega + omega.transpose(0, 2, 1)) / 2.0
     return lambdas, omegas, ok
 
 
@@ -286,7 +314,11 @@ def _fitted(target: BucketDecomposition | IdentificationPlan):
 
 def _saturated(buckets: BucketDecomposition) -> BucketDecomposition:
     """The same buckets, each with all earlier ones as external parents."""
-    return replace(buckets, external_parents=tuple(map(buckets.prefix, range(len(buckets)))))
+    prefixes, flat = [], ()
+    for bucket in buckets.buckets:
+        prefixes.append(flat)
+        flat += bucket
+    return replace(buckets, external_parents=tuple(prefixes))
 
 
 def g_regression(
@@ -423,10 +455,12 @@ def effect_gradients(
 
 
 def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovariance,
-             size: int) -> np.ndarray:
+             size: int, tested: bool = False) -> np.ndarray:
     """The Kronecker quadratic form of :func:`delta_method_acov`, symmetrized,
     for gradient blocks ``grads[k]`` of shape (size, |Pa(B_k)|, |B_k|) and
-    residual blocks ``omegas[k]``."""
+    residual blocks ``omegas[k]``.  ``tested`` says that the g-regression
+    of ``cov`` for ``plan`` has accepted every parent covariance, so they
+    are solved without a second test."""
     out = np.zeros((size, size))
     for k, h in grads.items():
         pa = plan.buckets.external_parents[k]
@@ -435,7 +469,8 @@ def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovarian
         pi = cov.positions(pa)
         spp = cov.matrix[np.ix_(pi, pi)]
         flat = h.transpose(1, 0, 2).reshape(len(pa), -1)
-        sol = _solve_spd(spp, flat, f"parent covariance of bucket {k}")
+        sol = (np.linalg.solve(spp, flat) if tested else
+               _solve_spd(spp, flat, f"parent covariance of bucket {k}"))
         sol = sol.reshape(len(pa), size, h.shape[2]).transpose(1, 0, 2)
         out += np.einsum("tib,uic,bc->tu", h, sol, omegas[k])
     return (out + out.T) / 2.0
@@ -488,7 +523,7 @@ def efficiency_bound(plan: IdentificationPlan, cov: SampleCovariance, w: np.ndar
     model_g, model_gbar = g_regression(cov, plan), gbar_regression(cov, plan)
     grads = {k: np.einsum("t,tib->ib", w, h)[None]
              for k, h in effect_gradients(model_g, plan).items()}
-    return float(_sandwich(grads, model_gbar.omega_blocks, plan, cov, 1)[0, 0])
+    return float(_sandwich(grads, model_gbar.omega_blocks, plan, cov, 1, tested=True)[0, 0])
 
 
 @dataclass
@@ -585,7 +620,7 @@ def _adjustment_from_cov(
     sxy = cov.matrix[xi, yi]
     beta = _solve_spd(sxx, sxy, "adjustment regression")
     resid_var = float(cov.matrix[yi, yi] - sxy @ beta)
-    sxx_inv = _solve_spd(sxx, np.eye(len(xs)), "adjustment regression")
+    sxx_inv = np.linalg.solve(sxx, np.eye(len(xs)))  # sxx passed the test above
     n_a = len(treatment)
     acov = resid_var * sxx_inv[:n_a, :n_a]
     return EffectEstimate(

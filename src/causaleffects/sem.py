@@ -120,9 +120,9 @@ class LinearSem:
         bad = [e for e in self.errors if not isinstance(e, ErrorSpec)]
         if bad:
             raise GraphValidationError(f"errors must be ErrorSpec instances, got {bad[0]!r}")
+        pa = self.graph._pa
         support = np.zeros((p, p), dtype=bool)
-        for u, v in self.graph.directed_edges:
-            support[self.graph.index(u), self.graph.index(v)] = True
+        support[[i for s in pa for i in s], [j for j, s in enumerate(pa) for _ in s]] = True
         if np.any(g[~support] != 0.0):
             raise GraphValidationError("gamma has nonzero entries off the edge set")
 
@@ -207,20 +207,27 @@ def random_sem(
     _check_family(family)
     rescale = _flag(rescale, "rescale")
     p = dag.n_vertices
+    # per edge, in label order, a magnitude then a sign: the draws of
+    # rng.uniform(0.1, 2.0) and rng.random() in turn, made in one call
+    edges = [(dag._idx[u], dag._idx[v]) for u, v in dag.directed_edges]
+    draws = rng.random(2 * len(edges))
+    mag = 0.1 + (2.0 - 0.1) * draws[0::2]
     gamma = np.zeros((p, p))
-    for u, v in dag.directed_edges:
-        mag = rng.uniform(0.1, 2.0)
-        gamma[dag.index(u), dag.index(v)] = mag if rng.random() < 0.5 else -mag
+    gamma[[i for i, _ in edges], [j for _, j in edges]] = np.where(draws[1::2] < 0.5, mag, -mag)
 
     def draw_family():
         return ERROR_FAMILIES[rng.integers(len(ERROR_FAMILIES))]
 
-    shared = None if family == "mixed" else family or draw_family()
-    specs = []
-    for _ in range(p):
-        fam = shared or draw_family()
+    if family == "mixed":  # a family, then its parameter, per vertex
+        specs = []
+        for _ in range(p):
+            fam = draw_family()
+            lo, hi = _FAMILIES[fam][0]
+            specs.append(ErrorSpec(fam, float(rng.uniform(lo, hi))))
+    else:
+        fam = family or draw_family()
         lo, hi = _FAMILIES[fam][0]
-        specs.append(ErrorSpec(fam, float(rng.uniform(lo, hi))))
+        specs = [ErrorSpec(fam, a) for a in rng.uniform(lo, hi, p).tolist()]
     sem = LinearSem(dag, gamma, tuple(specs))
 
     if rescale:

@@ -371,3 +371,71 @@ def bootstrap_loop_oracle(data, columns, plan, n_boot, level, seed, center=False
             np.quantile(taus, 1.0 - alpha / 2.0, axis=0),
             n * np.atleast_2d(np.cov(taus, rowvar=False)),
             rejected)
+
+
+# family -> (parameter range, variance of the parameter), as the simulation
+# protocol states them, in the order random_sem draws a family index from
+_SEM_FAMILIES = {
+    "gaussian": ((0.5, 6.0), lambda a: a),
+    "scaled_t5": ((0.5, 1.5), lambda a: a * 5.0 / 3.0),
+    "logistic": ((0.4, 0.7), lambda a: a**2 * np.pi**2 / 3.0),
+    "uniform": ((1.2, 2.1), lambda a: a**2 / 3.0),
+}
+
+
+def random_sem_loop_oracle(dag, rng, rescale=False, family=None):
+    """``random_sem``'s draws one scalar at a time (reads the DAG's labels
+    and directed edges, nothing else of the package).
+
+    Per directed edge, in label order, a magnitude ``rng.uniform(0.1, 2.0)``
+    and then a sign ``rng.random() < 0.5``; then the error family (one for
+    the SEM when ``family`` is None, one per vertex when it is "mixed")
+    and, per vertex, its parameter ``rng.uniform(lo, hi)``.  With
+    ``rescale``, each vertex's incoming coefficients shrink in the order of
+    Kahn's algorithm (FIFO, children by index) so its marginal variance is
+    at most max(6, error variance + 0.25).  Returns ``(gamma, specs)`` with
+    ``specs`` a list of (family, param) pairs.
+    """
+    names = list(_SEM_FAMILIES)
+    pos = {v: i for i, v in enumerate(dag.vertices)}
+    p = len(pos)
+    gamma = np.zeros((p, p))
+    parents = [[] for _ in range(p)]
+    for u, v in sorted(dag.directed_edges):
+        mag = rng.uniform(0.1, 2.0)
+        gamma[pos[u], pos[v]] = mag if rng.random() < 0.5 else -mag
+        parents[pos[v]].append(pos[u])
+    shared = None if family == "mixed" else family or names[rng.integers(len(names))]
+    specs = []
+    for _ in range(p):
+        fam = shared or names[rng.integers(len(names))]
+        lo, hi = _SEM_FAMILIES[fam][0]
+        specs.append((fam, float(rng.uniform(lo, hi))))
+    if not rescale:
+        return gamma, specs
+    v = np.array([_SEM_FAMILIES[f][1](a) for f, a in specs])
+    indeg = [len(pa) for pa in parents]
+    order = [i for i in range(p) if indeg[i] == 0]
+    for i in order:  # grows while read
+        for j in sorted(c for c in range(p) if i in parents[c]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
+    sigma = np.zeros((p, p))
+    done = []
+    for j in order:
+        pa = sorted(parents[j])
+        if pa:
+            spp = sigma[np.ix_(pa, pa)]
+            contrib = float(gamma[pa, j] @ spp @ gamma[pa, j])
+            budget = max(6.0 - v[j], 0.25)
+            if contrib > budget:
+                gamma[pa, j] *= np.sqrt(budget / contrib)
+            cross = gamma[pa, j] @ sigma[np.ix_(pa, done)]
+            sigma[j, done] = cross
+            sigma[done, j] = cross
+            sigma[j, j] = v[j] + float(gamma[pa, j] @ spp @ gamma[pa, j])
+        else:
+            sigma[j, j] = v[j]
+        done.append(j)
+    return gamma, specs

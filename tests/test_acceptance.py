@@ -251,6 +251,7 @@ def test_c3_regression_covariance_roundtrip(record_criterion):
 _C4_SEED = 425
 
 
+@pytest.mark.slow
 def test_c4_asymptotic_covariance_calibration(record_criterion):
     t0 = time.perf_counter()
     n = n_reps = 2000
@@ -413,6 +414,7 @@ def test_c6_graph_layer_conformance(record_criterion, three_bucket_graph):
 _C7_SEED = 888
 
 
+@pytest.mark.slow
 def test_c7_bootstrap_coverage(record_criterion, chain_sem):
     t0 = time.perf_counter()
     truth = 6.0

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from causaleffects import (
+    BucketDecomposition,
     DegenerateSampleError,
     GraphValidationError,
+    IdentificationPlan,
     IllConditionedError,
     Mpdag,
     NotIdentifiedError,
@@ -34,7 +36,7 @@ from causaleffects import (
     sample_covariance,
     true_effect_pathsum,
 )
-from causaleffects.estimate import _solve_spd
+from causaleffects.estimate import COND_LIMIT, _fit_stack, _label_index, _solve_spd
 
 from . import oracles
 from .conftest import exact_cov_data, random_mpdag
@@ -161,6 +163,141 @@ def test_covariance_map_round_trips(rng):
                 assert np.allclose(lam1, lam2, atol=1e-9)
             for om1, om2 in zip(model.omega_blocks, model2.omega_blocks):
                 assert np.allclose(om1, om2, atol=1e-9)
+
+
+# One test of the widest parent set vouches for the nested ones.  The DAG's
+# widest parent set is {1, 2, 3} (bucket 4); {1} and {1, 2} lie inside it
+# and {1, 5} (bucket 6) does not.
+_NESTED = Pdag(("1", "2", "3", "4", "5", "6"),
+               (("1", "2"), ("1", "3"), ("2", "3"), ("1", "4"), ("2", "4"), ("3", "4"),
+                ("1", "5"), ("5", "6"), ("1", "6")))
+
+
+def _nested_cov(cond, seed, collinear_12=False):
+    """Block-diagonal covariance whose block over {1, 2, 3} has condition
+    number ``cond`` (in a random basis, or with ``collinear_12`` as
+    I - (1 - 1/cond) v v' for v = (1, -1, 0)/sqrt(2), so bucket 3's parents
+    {1, 2} have that condition number too) and whose block over {4, 5, 6}
+    is well conditioned."""
+    rng = rng_from_seed(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    m = rng.normal(size=(3, 3))
+    sigma = np.zeros((6, 6))
+    sigma[:3, :3] = (np.eye(3) - (1.0 - 1.0 / cond) * np.outer(v, v) if collinear_12 else
+                     q @ np.diag([1.0, 0.3, 1.0 / cond]) @ q.T)
+    sigma[3:, 3:] = m @ m.T + np.eye(3)
+    return (sigma + sigma.T) / 2.0
+
+
+def _per_bucket_reference(matrix, labels, buckets, fitted):
+    """Each fitted bucket tested and solved on its own, in order: the
+    coefficient blocks, or the first refused (bucket, parents)."""
+    pos = {v: i for i, v in enumerate(labels)}
+    lams = {}
+    for k in fitted:
+        pa, bucket = buckets.external_parents[k], buckets.buckets[k]
+        if not pa:
+            continue
+        pi, bi = [pos[u] for u in pa], [pos[v] for v in bucket]
+        spp = matrix[np.ix_(pi, pi)]
+        w = np.linalg.eigvalsh(spp)
+        if not (w[0] > 0 and w[-1] / w[0] <= COND_LIMIT):
+            return None, (bucket, pa)
+        lams[k] = np.linalg.solve(spp, matrix[np.ix_(pi, bi)])
+    return lams, None
+
+
+def _reference_fits(target):
+    """What the per-bucket reference fits for ``target``, a decomposition
+    or a plan: ``{fit: (buckets with the fit's parents, fitted indices)}``."""
+    if isinstance(target, IdentificationPlan):
+        dec, fitted = target.buckets, target.bucket_order
+    else:
+        dec, fitted = target, range(len(target))
+    saturated = BucketDecomposition(dec.vertex_order, dec.buckets,
+                                    tuple(dec.prefix(k) for k in range(len(dec))))
+    return {g_regression: (dec, fitted), gbar_regression: (saturated, fitted)}
+
+
+_BANDS = {  # widest parent condition number -> the band it must fall in
+    "under_half_limit": (0.99 * COND_LIMIT / 2, 0.0, COND_LIMIT / 2),
+    "between_half_limit_and_limit": (0.75 * COND_LIMIT, COND_LIMIT / 2, COND_LIMIT),
+    "above_limit": (2.0 * COND_LIMIT, COND_LIMIT, np.inf),
+}
+
+
+@pytest.mark.parametrize("collinear_12", [False, True])
+@pytest.mark.parametrize("band", sorted(_BANDS))
+def test_nested_parent_sets_accept_and_refuse_as_each_bucket_alone(band, collinear_12):
+    """g_regression, gbar_regression and efficiency_bound accept what a
+    test of each bucket on its own accepts, with the same blocks, and
+    refuse naming the bucket it refuses first."""
+    cond, lo, hi = _BANDS[band]
+    dec = bucket_decomposition(_NESTED)
+    targets = [dec] + [build_plan(_NESTED, ("1",), y) for y in ("4", "6")]
+    for seed in range(6):
+        sigma = _nested_cov(cond, seed, collinear_12)
+        w = np.linalg.eigvalsh(sigma[:3, :3])
+        assert lo < w[-1] / w[0] <= hi
+        cov = SampleCovariance(sigma, _NESTED.vertices)
+        for target in targets:
+            first_refused = None  # efficiency_bound fits g, then gbar
+            for fit, (buckets, fitted) in _reference_fits(target).items():
+                want, refused = _per_bucket_reference(sigma, _NESTED.vertices, buckets, fitted)
+                first_refused = first_refused or refused
+                if refused is None:
+                    model = fit(cov, target)
+                    for k, lam in want.items():
+                        assert (model.lambda_blocks[k] == lam).all()
+                    continue
+                bucket, pa = refused
+                with pytest.raises(IllConditionedError,
+                                   match=re.escape(f"regression of bucket {bucket} on {pa}: ")):
+                    fit(cov, target)
+                if target is dec and fit is g_regression:
+                    # with 1 and 2 collinear, the earlier bucket 3 is named
+                    assert bucket == (("3",) if collinear_12 else ("4",))
+            if target is dec:
+                continue
+            if first_refused is None:
+                assert np.isfinite(efficiency_bound(target, cov, [1.0]))
+            else:
+                bucket, pa = first_refused
+                with pytest.raises(IllConditionedError,
+                                   match=re.escape(f"regression of bucket {bucket} on {pa}: ")):
+                    efficiency_bound(target, cov, [1.0])
+
+
+def test_a_parent_set_outside_the_widest_is_tested_on_its_own():
+    """The widest parent set {1, 2, 3} passes with room to spare, but
+    bucket 6's parents {1, 5} do not lie inside it and are refused."""
+    sigma = _nested_cov(10.0, 0)
+    sigma[4, 3:] = sigma[3:, 4] = 0.0
+    sigma[4, 4] = sigma[0, 0] / (2.0 * COND_LIMIT)
+    cov = SampleCovariance(sigma, _NESTED.vertices)
+    with pytest.raises(IllConditionedError,
+                       match=re.escape("regression of bucket ('6',) on ('1', '5'): ")):
+        g_regression(cov, bucket_decomposition(_NESTED))
+
+
+def test_a_stack_with_one_failing_matrix_rejects_that_matrix_only():
+    """A bootstrap-style stack in which one replicate's widest parent
+    matrix is refused: that replicate alone is rejected, and every other
+    one gets the blocks of fitting it on its own; a replicate between
+    COND_LIMIT / 2 and COND_LIMIT passes without the shared certificate."""
+    dec = bucket_decomposition(_NESTED)
+    local = _label_index(_NESTED.vertices)
+    conds = [1e3, 2.0 * COND_LIMIT, 0.75 * COND_LIMIT, 10.0]
+    for stacked in (conds, conds[:1] + conds[2:], conds[:1] + conds[3:]):
+        stack = np.array([_nested_cov(c, i) for i, c in enumerate(stacked)])
+        lambdas, _, ok = _fit_stack(stack, dec, range(len(dec)), local, strict=False)
+        for i, matrix in enumerate(stack):
+            want, refused = _per_bucket_reference(matrix, _NESTED.vertices, dec, range(len(dec)))
+            assert ok[i] == (refused is None)
+            for k, lam in (want or {}).items():
+                assert (lambdas[k][i] == lam).all()
+        assert ok.tolist() == [c <= COND_LIMIT for c in stacked]
 
 
 # ---------------------------------------------------------------------------

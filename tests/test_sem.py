@@ -249,6 +249,32 @@ def test_random_sem_family_values(rng):
     assert rng.random() == twin.random()  # nothing was drawn
 
 
+def _draw_test_dags():
+    """Random DAGs past ten vertices (label order differs from index order),
+    an edgeless one and one whose vertex order is not its label order."""
+    rng = rng_from_seed(31)
+    dags = [random_dag(int(rng.integers(2, 30)), float(rng.integers(1, 6)), rng)
+            for _ in range(6)]
+    dags.append(random_dag(5, 0.0, rng))
+    dags.append(Pdag(("y", "b", "a", "m"), (("a", "m"), ("m", "y"), ("a", "y"), ("b", "m"))))
+    return dags
+
+
+@pytest.mark.parametrize("rescale", [False, True])
+@pytest.mark.parametrize("family", [None, *ERROR_FAMILIES, "mixed"])
+def test_random_sem_draws_as_the_scalar_loop(family, rescale):
+    """The whole-array draws equal one scalar draw per edge and per vertex:
+    the same coefficients bit for bit, the same specs, and the generator
+    left in the same state."""
+    for k, dag in enumerate(_draw_test_dags()):
+        got_rng, want_rng = rng_from_seed(7, k), rng_from_seed(7, k)
+        sem = random_sem(dag, got_rng, rescale=rescale, family=family)
+        gamma, specs = oracles.random_sem_loop_oracle(dag, want_rng, rescale, family)
+        assert (sem.gamma == gamma).all()
+        assert [(e.family, e.param) for e in sem.errors] == specs
+        assert got_rng.random() == want_rng.random()
+
+
 def test_rescale_caps_variance_spread(rng):
     # a 10-chain multiplies variances without rescaling; with it the
     # largest implied marginal variance stays within a factor 20 of the

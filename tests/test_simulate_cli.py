@@ -576,15 +576,23 @@ def test_cli_estimate_reads_a_decimal_that_only_numpy_reads(capsys, tmp_path, ch
 def test_cli_estimate_refuses_a_value_only_python_float_reads(capsys, tmp_path, chain_graph_file,
                                                               field):
     """Declared: digit-group underscores and non-ASCII digits, which
-    Python's float reads, are not decimals."""
+    Python's float reads, are not decimals.  The message numbers the row as
+    the ragged-row message does: body rows from 1, blank lines skipped."""
     path = tmp_path / "digits.csv"
-    path.write_text(_BASE + f"1,2,{field}\n" * 3, encoding="utf-8")
+    path.write_text(_BASE + f"\n1,2,{field}\n" * 3, encoding="utf-8")
     code, out, err = _run(capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
                           "--treat", "a", "--outcome", "y")
     assert (code, out) == (3, "") and err.count("\n") == 1
     assert err.startswith("input error: data values must be decimals: ") and f"'{field}'" in err
+    assert err.endswith(" at data row 3, column 3.\n"), err
+    path.write_text(_BASE + "\n1,2\n", encoding="utf-8")  # the same row, ragged
+    assert _run(capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
+                "--treat", "a", "--outcome", "y")[2].startswith("input error: data row 3 has")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set from /proc/self/status, "
+                           "which this platform lacks")
 def test_reader_memory_stays_within_a_small_multiple_of_the_array(tmp_path):
     """Reading a 100,000 x 10 file raises the peak resident set by at most
     4x the array's size; keeping every field as a Python string took ~15x."""
