@@ -797,11 +797,14 @@ def estimate_total_effect(
         cov = sample_covariance(data, columns, center=center)
     model = g_regression(cov, plan)
     tau = effect_from_lambda(model, plan)
+    # the fit accepted every plan bucket's parent covariance: no second test
+    acov = _sandwich(effect_gradients(model, plan), model.omega_blocks, plan, cov,
+                     len(plan.treatment), tested=True)
     est = EffectEstimate(
         treatment=plan.treatment,
         outcome=outcome,
         tau=tau,
-        acov=delta_method_acov(model, plan, cov),
+        acov=acov,
         method="g_regression",
         n=cov.n,
         seed=seed if n_boot else None,

@@ -55,10 +55,12 @@ class Pdag:
         Iterable of label pairs, one per undirected edge (order irrelevant).
 
     Every vertex pair may carry at most one edge, self loops are rejected,
-    and the directed part must be acyclic.
+    and the directed part must be acyclic.  A graph is never changed once
+    a public function has returned it, so its bucket decomposition is kept
+    on it (``_buckets``) after the first :func:`bucket_decomposition`.
     """
 
-    __slots__ = ("vertices", "_idx", "_pa", "_ch", "_nb")
+    __slots__ = ("vertices", "_idx", "_pa", "_ch", "_nb", "_buckets")
 
     def __init__(
         self,
@@ -77,6 +79,7 @@ class Pdag:
         self._pa: list[set[int]] = [set() for _ in range(p)]
         self._ch: list[set[int]] = [set() for _ in range(p)]
         self._nb: list[set[int]] = [set() for _ in range(p)]
+        self._buckets: BucketDecomposition | None = None
 
         def resolve(u, v):
             try:
@@ -231,12 +234,14 @@ def _check_closed(g: Pdag) -> None:
 
 def _copy(g: Pdag) -> Mpdag:
     """An unchecked :class:`Mpdag` with copies of ``g``'s adjacency sets;
-    the labels are shared.  Callers close it in place or have checked ``g``."""
+    the labels are shared, ``g``'s bucket decomposition is not (callers
+    change the copy).  Callers close it in place or have checked ``g``."""
     m = object.__new__(Mpdag)
     m.vertices, m._idx = g.vertices, g._idx
     m._pa = [set(s) for s in g._pa]
     m._ch = [set(s) for s in g._ch]
     m._nb = [set(s) for s in g._nb]
+    m._buckets = None
     return m
 
 
@@ -437,7 +442,14 @@ def bucket_decomposition(g: Pdag) -> BucketDecomposition:
     O(|V| + |E| + c log c) for c components.  Raises if some components
     can never be placed (only possible for graphs that are not valid
     Mpdags) or if the restrictive parent property fails.
+
+    The buckets depend on the graph alone, and a graph is never changed
+    once returned, so the decomposition is computed once per graph: later
+    calls return the same object.  A refused graph is not remembered and
+    raises again.
     """
+    if g._buckets is not None:
+        return g._buckets
     p = g.n_vertices
     pa, ch, nb = g._pa, g._ch, g._nb
     # each component is named by its leading (smallest) vertex
@@ -504,7 +516,8 @@ def bucket_decomposition(g: Pdag) -> BucketDecomposition:
                 )
         buckets.append(tuple([lab[i] for i in mem]))
         ext_parents.append(tuple([lab[i] for i in sorted(ext)]))
-    return BucketDecomposition(lab, tuple(buckets), tuple(ext_parents))
+    g._buckets = BucketDecomposition(lab, tuple(buckets), tuple(ext_parents))
+    return g._buckets
 
 
 # -- reachability and path queries -------------------------------------------

@@ -68,8 +68,10 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
     is undirected.
 
     The plan keeps only buckets with a non-empty intersection D_k with
-    D = An(outcome) after removing the treatment.  Identification guarantees
-    two structural facts that are re-checked here: the parents of D_k equal
+    D = An(outcome) after removing the treatment, in ascending order, and
+    reads only those: the graph's bucket decomposition (computed once per
+    graph) names each vertex's bucket.  Identification guarantees two
+    structural facts that are re-checked here: the parents of D_k equal
     the parents of the whole bucket, and every such parent lies in the
     treatment set or an earlier D_j.
     """
@@ -89,10 +91,8 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
     d_buckets: list[tuple[str, ...]] = []
     parents: list[tuple[str, ...]] = []
     earlier: set[str] = set(treatment)
-    for k, bucket in enumerate(dec.buckets):
-        dk = tuple(v for v in bucket if v in d_set)
-        if not dk:
-            continue
+    for k in sorted({dec.bucket_of(v) for v in d_set}):
+        dk = tuple(v for v in dec.buckets[k] if v in d_set)
         pa_dk = set().union(*(g.parents_of(v) for v in dk)) - set(dk)
         pa_bucket = set(dec.external_parents[k])
         if pa_dk != pa_bucket:

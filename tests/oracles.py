@@ -217,6 +217,63 @@ def proper_undirected_start_oracle(g, treatment, outcome):
     return False
 
 
+def build_plan_all_buckets(g, treatment, outcome):
+    """``build_plan`` as one walk over every bucket, skipping those that
+    miss D: the same checks, messages and plan, from the ancestor oracle
+    and the decomposition of a fresh copy of ``g``."""
+    from causaleffects import (
+        GraphValidationError,
+        IdentificationPlan,
+        NotIdentifiedError,
+        Pdag,
+        bucket_decomposition,
+        proper_undirected_start_path,
+    )
+
+    treatment = tuple(treatment)
+    path = proper_undirected_start_path(g, treatment, outcome)
+    if path is not None:
+        steps = [path[0]] + [("-> " if g.has_directed(u, v) else "- ") + v
+                             for u, v in zip(path, path[1:])]
+        raise NotIdentifiedError(
+            f"total effect of {sorted(treatment)} on {outcome!r} is not identified: "
+            f"the proper possibly causal path {' '.join(steps)} starts with "
+            "an undirected edge",
+            path=path,
+        )
+    d_set = ancestors_oracle(g, outcome, removed=treatment)
+    dec = bucket_decomposition(Pdag(g.vertices, g.directed_edges, g.undirected_edges))
+    order, d_buckets, parents = [], [], []
+    earlier = set(treatment)
+    for k, bucket in enumerate(dec.buckets):
+        dk = tuple(v for v in bucket if v in d_set)
+        if not dk:
+            continue
+        pa_dk = set().union(*(g.parents_of(v) for v in dk)) - set(dk)
+        pa_bucket = set(dec.external_parents[k])
+        if pa_dk != pa_bucket:
+            raise GraphValidationError(
+                f"parents of D_k {dk} differ from the bucket's external parents"
+            )
+        if not pa_bucket <= earlier:
+            raise GraphValidationError(
+                f"bucket parents {sorted(pa_bucket)} escape treatment + earlier D"
+            )
+        order.append(k)
+        d_buckets.append(dk)
+        parents.append(dec.external_parents[k])
+        earlier.update(dk)
+    return IdentificationPlan(
+        treatment=treatment,
+        outcome=outcome,
+        d_set=tuple(v for dk in d_buckets for v in dk),
+        bucket_order=tuple(order),
+        d_buckets=tuple(d_buckets),
+        parents_per_bucket=tuple(parents),
+        buckets=dec,
+    )
+
+
 def implied_cov_oracle(sem):
     """Population covariance by the per-vertex recursion (each vertex is its
     own block, regressed on its parents)."""

@@ -13,6 +13,7 @@ from causaleffects import (
     Pdag,
     ancestors_in_subgraph,
     bucket_decomposition,
+    build_plan,
     construct_mpdag,
     cpdag_from_dag,
     exists_proper_possibly_causal_undirected_start,
@@ -427,18 +428,64 @@ def test_bucket_tie_break_is_deterministic():
     assert b.external_parents == ((), (), ("c",), ("a", "e"))
 
 
+def _refused_twice_alike(g) -> str:
+    """The message of ``g``'s refused decomposition, which a second call
+    repeats: a refusal is not remembered as a decomposition."""
+    with pytest.raises(GraphValidationError) as first:
+        bucket_decomposition(g)
+    with pytest.raises(GraphValidationError) as second:
+        bucket_decomposition(g)
+    assert str(second.value) == str(first.value)
+    return str(first.value)
+
+
 def test_bucket_unpeelable_raises():
     g = Pdag(("a", "b", "c"), directed=(("a", "c"), ("c", "b")), undirected=(("a", "b"),))
-    with pytest.raises(GraphValidationError, match="no bucket"):
-        bucket_decomposition(g)
+    assert "no bucket" in _refused_twice_alike(g)
 
 
 def test_bucket_restrictive_property_raises():
     # a -> b - c is not rule-closed; the component {b, c} has unequal
     # external parent sets, which the decomposition refuses
     g = Pdag(("a", "b", "c"), directed=(("a", "b"),), undirected=(("b", "c"),))
-    with pytest.raises(GraphValidationError):
-        bucket_decomposition(g)
+    assert "restrictive parent property" in _refused_twice_alike(g)
+
+
+def test_bucket_decomposition_is_computed_once_per_graph(three_bucket_graph):
+    g = three_bucket_graph
+    dec = bucket_decomposition(g)
+    assert bucket_decomposition(g) is dec
+    first, second = build_plan(g, ("1",), "5"), build_plan(g, ("4",), "6")
+    assert first.buckets is second.buckets is dec
+
+
+def _fresh_buckets(g):
+    return bucket_decomposition(Pdag(g.vertices, g.directed_edges, g.undirected_edges))
+
+
+def test_producers_decompose_their_own_result(rng):
+    """A producer's result is a new graph: its decomposition is its own,
+    not the one kept on its input, and the input keeps the one it had."""
+    chain = Mpdag(("a", "b", "c"), undirected=(("a", "b"), ("b", "c")))
+    # R3 orients d -> b, which splits b from the bucket {a, b, c, d}
+    collider = Pdag(("a", "b", "c", "d"), directed=(("a", "b"), ("c", "b")),
+                    undirected=(("a", "d"), ("b", "d"), ("c", "d")))
+    dag = Pdag(("a", "b", "c"), directed=(("a", "b"), ("b", "c")))
+    cases = [(chain, lambda g: construct_mpdag(g, [("a", "b")])),
+             (collider, meek_closure), (dag, cpdag_from_dag), (chain, saturated_mpdag)]
+    for _ in range(30):
+        g, d = random_mpdag(rng, int(rng.integers(3, 9)), orient_frac=0.0)
+        known = [e if e in d.directed_edges else e[::-1] for e in g.undirected_edges[:1]]
+        cases += [(g, lambda g, known=known: construct_mpdag(g, known)),
+                  (g, meek_closure), (d, cpdag_from_dag), (g, saturated_mpdag)]
+    split = 0
+    for g, make in cases:
+        before = bucket_decomposition(g)
+        out = bucket_decomposition(make(g))
+        assert out == _fresh_buckets(make(g))
+        assert bucket_decomposition(g) is before
+        split += len(out) != len(before)
+    assert split >= 30  # enough results whose buckets differ from the input's
 
 
 def test_directed_edge_into_bucket_hits_every_member(rng):

@@ -9,8 +9,11 @@ from causaleffects import (
     Mpdag,
     NotIdentifiedError,
     Pdag,
+    bucket_decomposition,
     build_plan,
     exists_proper_possibly_causal_undirected_start,
+    graph_from_dict,
+    graph_to_dict,
     is_identified,
     proper_undirected_start_path,
     rng_from_seed,
@@ -129,6 +132,43 @@ def test_plan_parent_closure(rng):
         assert y in plan.d_set
         assert not set(plan.d_set) & set(a)
     assert made >= 10
+
+
+def _plan_or_refusal(plan_of, g, a, y):
+    """The plan, or the refusal as (type, message, path)."""
+    try:
+        return plan_of(g, a, y)
+    except (NotIdentifiedError, GraphValidationError) as e:
+        return type(e), str(e), getattr(e, "path", None)
+
+
+def test_plan_reads_only_d_buckets_as_walking_all_did():
+    """On random MPDAGs, with and without knowledge, every query gets the
+    same plan (all fields) or the same refusal (message and path) three
+    ways: on a graph whose decomposition is already kept, on a fresh strict
+    load of its edges, and from the all-buckets walk of the oracle."""
+    rng = rng_from_seed(7316)
+    n_plans = n_chained = n_refused = 0
+    for i in range(300):
+        g, _ = random_mpdag(rng, int(rng.integers(3, 11)), orient_frac=0.4 * (i % 2))
+        warm = bucket_decomposition(g)
+        labels = list(g.vertices)
+        for _ in range(3):
+            y = labels[int(rng.integers(len(labels)))]
+            rest = [v for v in labels if v != y]
+            k = int(rng.integers(1, min(3, len(rest)) + 1))
+            a = [str(v) for v in rng.choice(rest, size=k, replace=False)]
+            got = _plan_or_refusal(build_plan, g, a, y)
+            fresh = graph_from_dict(graph_to_dict(g), strict=True)
+            assert _plan_or_refusal(build_plan, fresh, a, y) == got, (g, a, y)
+            assert _plan_or_refusal(oracles.build_plan_all_buckets, g, a, y) == got, (g, a, y)
+            if isinstance(got, tuple):
+                n_refused += 1
+            else:
+                assert got.buckets is warm
+                n_plans += 1
+                n_chained += len(got.bucket_order) > 1
+    assert n_plans >= 400 and n_chained >= 100 and n_refused >= 300
 
 
 def test_identified_agrees_with_bruteforce(rng):

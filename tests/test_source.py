@@ -95,3 +95,125 @@ def test_numeric_type_tests_live_in_errors_only():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}" for line in _numeric_type_tests(tree)]
     assert not found, f"numeric isinstance tests outside errors.py: {found}"
+
+
+# A graph's bucket decomposition is kept on it, which is sound only while no
+# graph changes after a public function has returned it: adjacency sets
+# change only while a graph is built, and the kept decomposition is set only
+# where a graph is built or decomposed.
+_MUTATORS = {"add", "discard", "clear", "update", "remove", "pop"}
+_BUILDERS = {"Pdag.__init__", "Pdag._orient", "_copy", "cpdag_from_dag"}
+_MAY_MUTATE = {"_pa": _BUILDERS, "_ch": _BUILDERS, "_nb": _BUILDERS,
+               "_buckets": {"Pdag.__init__", "_copy", "bucket_decomposition"}}
+
+
+def _graph_state_mutations(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """``(function, attribute, line)`` for every change of a graph's
+    adjacency sets or kept decomposition: a mutating set method called on
+    them, or an attribute, item or augmented assignment to them, reached
+    directly or through a local name bound to them (``pa = g._pa``,
+    ``for pa, ch, nb in zip(m._pa, m._ch, m._nb)``)."""
+    found = []
+
+    def visit(node, scope, aliases):
+        def reaches(expr):
+            """The state attribute ``expr`` reads, or None."""
+            if isinstance(expr, ast.Attribute) and expr.attr in _MAY_MUTATE:
+                return expr.attr
+            if isinstance(expr, ast.Name):
+                return aliases.get(expr.id)
+            if isinstance(expr, ast.Subscript):
+                return reaches(expr.value)
+            if isinstance(expr, (ast.Tuple, ast.List)):
+                return next(filter(None, map(reaches, expr.elts)), None)
+            if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
+                    and expr.func.id in {"zip", "iter", "reversed", "enumerate"}:
+                return next(filter(None, map(reaches, expr.args)), None)
+            return None
+
+        def bind(target, value):
+            values = (value.elts if isinstance(value, ast.Tuple) else
+                      value.args if isinstance(value, ast.Call)
+                      and isinstance(value.func, ast.Name) and value.func.id == "zip" else None)
+            if isinstance(target, (ast.Tuple, ast.List)) and values is not None \
+                    and len(target.elts) == len(values):
+                for t, v in zip(target.elts, values):
+                    bind(t, v)
+                return
+            attr = reaches(value)
+            if attr:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        aliases[name.id] = attr
+
+        def record(attr, line):
+            found.append((".".join(scope) or "<module>", attr, line))
+
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = dict(aliases) if not isinstance(node, ast.ClassDef) else {}
+            for child in node.body:
+                visit(child, scope + [node.name], inner)
+            return
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                bind(target, node.value)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            bind(node.target, node.iter)
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete)) else
+                   [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        for target in targets:
+            if isinstance(target, ast.Attribute) and target.attr in _MAY_MUTATE:
+                record(target.attr, node.lineno)
+            elif isinstance(target, (ast.Subscript, ast.Name)) and \
+                    (isinstance(node, ast.AugAssign) or isinstance(target, ast.Subscript)):
+                attr = reaches(target)
+                if attr:
+                    record(attr, node.lineno)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _MUTATORS:
+            attr = reaches(node.func.value)
+            if attr:
+                record(attr, node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, aliases)
+
+    visit(tree, [], {})
+    return found
+
+
+def test_graphs_change_only_while_they_are_built():
+    """Outside ``graph.py``'s builders nothing changes a graph's adjacency
+    sets or kept bucket decomposition, so the decomposition kept on a graph
+    stays the graph's."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, attr, line in _graph_state_mutations(tree):
+            if path.name != "graph.py" or scope not in _MAY_MUTATE[attr]:
+                found.append(f"{path.name}:{line} {scope} changes {attr}")
+    assert not found, f"graph state changed outside its builders: {found}"
+
+
+def test_graph_state_check_sees_each_kind_of_change():
+    """Each form of change the check above looks for is found."""
+    source = """
+def f(g, h):
+    g._pa[0].add(1)
+    g._nb[2].discard(3)
+    pa, ch = g._pa, g._ch
+    ch[0].update({1})
+    for nb in g._nb:
+        nb.clear()
+    g._ch[1] = set()
+    g._buckets = None
+    h._nb[0] |= {1}
+    g._pa[0].pop()
+    g._ch[0].remove(1)
+    x = sorted(g._pa[0])
+    x.append(1)
+"""
+    got = _graph_state_mutations(ast.parse(source))
+    assert [(attr, line) for _, attr, line in got] == [
+        ("_pa", 3), ("_nb", 4), ("_ch", 6), ("_nb", 8), ("_ch", 9), ("_buckets", 10),
+        ("_nb", 11), ("_pa", 12), ("_ch", 13)]
+    assert {scope for scope, _, _ in got} == {"f"}
