@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -140,7 +141,13 @@ def _read_data_csv(path: str, vertices: tuple[str, ...]):
         header = [h.strip() for h in header]
         _check_header(header, vertices)
         if x.size and x.shape[1] == len(header) and np.all(np.isfinite(x)):
-            return x[:, [header.index(v) for v in vertices]]
+            # a header in vertex order needs no copy.  Otherwise take makes a
+            # row-major copy, as the reader's array is: numpy's column means
+            # add in an order set by the layout, so the layout must not
+            # depend on the header's order
+            if tuple(header) == vertices:
+                return x
+            return x.take([header.index(v) for v in vertices], axis=1)
     _refuse_data_csv(path, vertices, fault)
 
 
@@ -265,7 +272,11 @@ def _cmd_simulate(args) -> int:
     return _OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of :func:`main`, built on its first call (not at import)
+    and reused, since parsing keeps no state.  It binds the ``_cmd_*``
+    functions when built: replacing one takes ``_build_parser.cache_clear()``."""
     parser = _Parser(prog="causal-effects", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -703,6 +703,7 @@ def bootstrap_ci(
         for v in pa + plan.buckets.buckets[k]
     ))
     sub = np.array([col[v] for v in labels], dtype=int)
+    grid = np.ix_(sub, sub)
     local = _label_index(labels)
     y = plan.d_set.index(plan.outcome)
     taus = np.empty((n_boot, len(plan.treatment)))
@@ -710,6 +711,11 @@ def bootstrap_ci(
     rejected = 0
     stream = 0
     cap = max(10, n_boot)
+    # one generator per call: setting the whole state (counter, and the empty
+    # buffer) before each replicate draws what Philox(key=seed, counter=...) draws
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
     while got < n_boot and rejected <= cap:
         # the streams still needed: a resample whose full covariance is not
         # positive definite is rejected here, the others enter the stack
@@ -717,7 +723,8 @@ def bootstrap_ci(
         stack = np.empty((need, len(sub), len(sub)))
         kept = np.zeros(need, dtype=bool)
         for r in range(need):
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream + r, 0]))
+            state["state"]["counter"][2] = stream + r
+            bitgen.state = state
             idx = rng.integers(0, n, size=n)
             # the rows are checked data and s is symmetric by construction;
             # reject where SampleCovariance would
@@ -728,7 +735,7 @@ def bootstrap_ci(
                 np.linalg.cholesky(s)
             except np.linalg.LinAlgError:
                 continue
-            stack[r] = s[np.ix_(sub, sub)]
+            stack[r] = s[grid]
             kept[r] = True
         stream += need
         lambdas, _, ok = _fit_stack(stack[kept], plan.buckets, plan.bucket_order, local, False)

@@ -890,8 +890,9 @@ def _bootstrap_against_loop(data, columns, plan, **kw):
 def test_bootstrap_matches_per_replicate_loop(chain_sem, center):
     data = sample(chain_sem, 300, rng_from_seed(3))
     plan = build_plan(chain_sem.graph, ("a",), "y")
-    _bootstrap_against_loop(data, chain_sem.graph.vertices, plan,
-                            n_boot=60, level=0.9, seed=5, center=center)
+    for seed in (5, 2**64 - 1):  # the largest seed keys Philox with every bit set
+        _bootstrap_against_loop(data, chain_sem.graph.vertices, plan,
+                                n_boot=60, level=0.9, seed=seed, center=center)
     rng = rng_from_seed(41)
     done = 0
     while done < 20:
@@ -934,6 +935,79 @@ def test_bootstrap_redraws_match_per_replicate_loop(floor, center):
     rejected = _bootstrap_against_loop(x, g.vertices, plan, n_boot=100, level=0.95,
                                        seed=4, center=center)
     assert 0 < rejected <= 11
+
+
+def _pinned_bootstrap_calls(chain_sem):
+    """The bootstrap_ci arguments whose results _PINNED_BOOTSTRAP records."""
+    g = chain_sem.graph
+    chain = dict(data=sample(chain_sem, 300, rng_from_seed(3)), columns=g.vertices,
+                 plan=build_plan(g, ("a",), "y"), n_boot=40, level=0.9, seed=5)
+    rng = rng_from_seed(47)
+    while True:  # the first identified query with two treatments
+        mpdag, dag = random_mpdag(rng, 8)
+        a0, a1, y = (dag.vertices[int(k)] for k in rng.choice(8, size=3, replace=False))
+        if is_identified(mpdag, (a0, a1), y):
+            break
+    joint = dict(data=sample(random_sem(dag, rng), 200, rng), columns=dag.vertices,
+                 plan=build_plan(mpdag, (a0, a1), y), n_boot=40, seed=6)
+    # z2 is zero outside 3 of the 50 rows: 6 rejections, redrawn in later batches
+    z = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
+    x = rng_from_seed(17).standard_normal((50, 3))
+    x[3:, 1] = 0.0
+    x[:, 2] += x[:, 0] + x[:, 1]
+    return {
+        "chain": chain,
+        "chain_center": {**chain, "center": True},
+        "joint": joint,
+        "redrawn": dict(data=x, columns=z.vertices, plan=build_plan(z, ("z1",), "b"),
+                        n_boot=100, seed=4),
+        "last_seed": {**chain, "seed": 2**64 - 1},
+    }
+
+
+# repr of (lower, upper, boot_acov, rejected) as Python floats, which repr
+# exactly; recorded when each replicate still built its own Philox generator
+_PINNED_BOOTSTRAP = {
+    "chain": "([5.6032079520692415], [6.149412286635187], [[8.550749093092321]], 0)",
+    "chain_center": "([5.606305648649057], [6.168818102329271], [[8.821105059455434]], 0)",
+    "joint": "([0.016128111085323665, -1.6687100048600563], "
+             "[0.20835112280059515, -1.3880816473140982], "
+             "[[0.5940123691415783, 0.06887285148082979], "
+             "[0.06887285148082979, 1.2115068391555048]], 0)",
+    "redrawn": "([0.47739282758388707], [0.9997429677116203], [[1.0294811049565034]], 6)",
+    "last_seed": "([5.679533738885571], [6.129589546944949], [[7.80779825297734]], 0)",
+}
+
+
+def test_bootstrap_draws_are_pinned_bit_for_bit(chain_sem):
+    calls = _pinned_bootstrap_calls(chain_sem)
+    assert len(calls["joint"]["plan"].treatment) == 2
+    for name, kw in calls.items():
+        lower, upper, acov, rejected = bootstrap_ci(**kw)
+        got = repr((lower.tolist(), upper.tolist(), acov.tolist(), rejected))
+        assert got == _PINNED_BOOTSTRAP[name], name
+
+
+@pytest.mark.parametrize("n_boot", [2, 25, 500])
+def test_bootstrap_makes_one_generator_per_call(chain_sem, monkeypatch, n_boot):
+    """Replicates reset the counter of one Philox generator; none constructs
+    its own.  On the rrrst rows of test_bootstrap_refuses_fragile_samples,
+    rejections send n_boot 25 and 500 back for further batches of streams."""
+    chain = sample(chain_sem, 200, rng_from_seed(3))  # rng_from_seed makes a Philox too
+    g = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
+    distinct = dict(zip("rst", rng_from_seed(5).normal(size=(3, 3))))
+    fragile = np.array([distinct[c] for c in "rrrst"])
+    made, real = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(k) or real(*a, **k))
+    batches = _counting(monkeypatch, "_fit_stack")
+    bootstrap_ci(chain, chain_sem.graph.vertices, build_plan(chain_sem.graph, ("a",), "y"),
+                 n_boot=n_boot, seed=9)
+    assert len(made) == 1 and len(batches) == 1
+    try:
+        bootstrap_ci(fragile, g.vertices, build_plan(g, ("z1",), "b"), n_boot=n_boot, seed=2)
+    except IllConditionedError:  # n_boot 25 and 500: too many rejections
+        pass
+    assert len(made) == 2 and (len(batches) > 2) == (n_boot > 2)
 
 
 _SOLVE = np.linalg.solve

@@ -25,6 +25,7 @@ from causaleffects import (
     sample,
     save_graph,
 )
+from causaleffects import cli
 from causaleffects.cli import _read_data_csv, main
 from causaleffects.simulate import CSV_COLUMNS, REPORT_HEADER, run_simulation
 
@@ -249,6 +250,65 @@ def test_cli_usage_error(capsys):
 
 
 # ---------------------------------------------------------------------------
+# cli: one parser per process
+
+
+@pytest.fixture
+def fresh_parser():
+    """Clear main's cached parser before and after the test."""
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys, tmp_path, chain_graph_file,
+                                                     chain_data_file, fresh_parser):
+    """Each call on the parser that earlier calls used answers as the same
+    call on a freshly built parser: exit code, stdout, stderr and --out file."""
+    data_path, _ = chain_data_file
+    out_path = tmp_path / "boot.json"
+    query = ("--graph", chain_graph_file, "--treat", "a", "--outcome", "y")
+    boot = ("estimate", *query, "--data", data_path, "--center", "--bootstrap", "20",
+            "--seed", "3", "--level", "0.9", "--out", str(out_path))
+    calls = [boot, ("estimate", *query, "--data", data_path), ("id", *query),
+             ("graph", "buckets", "--graph", chain_graph_file),
+             ("estimate", *query),  # no --data: a usage error
+             ("--help",), boot]
+
+    def answer(argv):
+        code = main(list(argv))
+        cap = capsys.readouterr()
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return code, cap.out, cap.err, written
+
+    cached = [answer(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert [c[0] for c in cached] == [0, 0, 0, 0, 3, 0, 0]
+    assert cached[0][3] is not None and cached[0] == cached[-1]
+    assert cached == fresh
+
+
+def test_main_builds_its_parser_once(capsys, chain_graph_file, monkeypatch, fresh_parser):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])  # the subcommands' parsers are built as this class too
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    for argv in (["graph", "validate", "--graph", chain_graph_file], ["frobnicate"],
+                 ["--help"]) * 4:
+        main(argv)
+    capsys.readouterr()
+    assert built.count("causal-effects") == 1 and len(built) == 5
+
+
+# ---------------------------------------------------------------------------
 # cli: id subcommand
 
 
@@ -334,6 +394,28 @@ def test_cli_estimate_column_order_irrelevant(capsys, tmp_path, chain_graph_file
         Mpdag(("a", "m", "y"), (("a", "m"), ("m", "y"))), ("a",), "y", data=x
     )
     assert json.loads(out)["tau"]["a"] == pytest.approx(want.tau[0])
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_cli_estimate_prints_the_library_result_bit_for_bit(capsys, tmp_path, chain_graph_file,
+                                                            chain_sem, center):
+    """The printed estimate is the library's on the array the file holds,
+    whichever order the header lists the columns in (a column-ordered copy
+    once changed the centred means in their last bits)."""
+    g = Mpdag(("a", "m", "y"), (("a", "m"), ("m", "y")))
+    path = tmp_path / "data.csv"
+    for n in (150, 400, 1000):
+        x = sample(chain_sem, n, rng_from_seed(n))
+        want = estimate_total_effect(g, ("a",), "y", data=x, center=center).to_dict()
+        for order in ([0, 1, 2], [2, 0, 1]):
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow([g.vertices[i] for i in order])
+                w.writerows(x[:, order].tolist())
+            code, out, _ = _run(capsys, "estimate", "--graph", chain_graph_file, "--data",
+                                str(path), "--treat", "a", "--outcome", "y",
+                                *["--center"] * center)
+            assert code == 0 and json.loads(out) == want, (n, order)
 
 
 def test_cli_estimate_bootstrap(capsys, chain_graph_file, chain_data_file):
@@ -594,8 +676,10 @@ def test_cli_estimate_refuses_a_value_only_python_float_reads(capsys, tmp_path, 
                     reason="reads the peak resident set from /proc/self/status, "
                            "which this platform lacks")
 def test_reader_memory_stays_within_a_small_multiple_of_the_array(tmp_path):
-    """Reading a 100,000 x 10 file raises the peak resident set by at most
-    4x the array's size; keeping every field as a Python string took ~15x."""
+    """Reading a 100,000 x 10 file whose header lists the vertices in order
+    raises the peak resident set by at most 1.5x the array's size: the C
+    reader's array is returned without a reordering copy (which took ~2x),
+    and keeping every field as a Python string took ~15x."""
     labels = [f"v{j}" for j in range(10)]
     block = np.random.default_rng(3).standard_normal((1000, 10))
     path = tmp_path / "big.csv"
@@ -616,7 +700,7 @@ def test_reader_memory_stays_within_a_small_multiple_of_the_array(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     before, after, nbytes, shape = json.loads(done.stdout)
     assert shape == [100_000, 10]
-    assert (after - before) * 1024 <= 4 * nbytes, (after - before) * 1024 / nbytes
+    assert (after - before) * 1024 <= 1.5 * nbytes, (after - before) * 1024 / nbytes
 
 
 @pytest.mark.parametrize("n_boot", ["-1", "1"])
