@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one rule for what a
-count, a finite number, a flag and a float array are."""
+count, a finite number, a flag, a float array and a JSON object are."""
 
 import math
 
@@ -80,6 +80,19 @@ def _float_array(value, name: str, error: type[CausalEffectsError]) -> np.ndarra
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as e:
         raise error(f"{name} must hold numbers: {e}") from None
+
+
+def _check_fields(d, what: str, keys: tuple[str, ...]) -> None:
+    """Refuse ``d`` with :class:`GraphValidationError` unless it is a dict
+    holding exactly the fields ``keys``; ``what`` names it in the message."""
+    if not isinstance(d, dict):
+        raise GraphValidationError(f"{what} must be an object")
+    for key in keys:
+        if key not in d:
+            raise GraphValidationError(f"{what} is missing the {key!r} field")
+    extras = set(d) - set(keys)
+    if extras:
+        raise GraphValidationError(f"unknown {what} fields: {sorted(extras, key=str)}")
 
 
 def _check_seed(seed) -> int:

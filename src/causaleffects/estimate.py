@@ -20,7 +20,7 @@ divide by n (see :attr:`EffectEstimate.se`) for finite-sample use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -128,8 +128,10 @@ class SampleCovariance:
 
 
 def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
-    """``data`` as a float matrix with one finite column per label and more
-    rows than columns, else :class:`DegenerateSampleError`."""
+    """``data`` as a row-major float matrix with one finite column per label
+    and more rows than columns, else :class:`DegenerateSampleError`.  Being
+    row-major, its column means add in one order whatever the caller's
+    layout (a row-major ``data`` is returned as it is)."""
     x = _float_array(data, "data", DegenerateSampleError)
     if x.ndim != 2:
         raise DegenerateSampleError("data must be a 2d array")
@@ -145,7 +147,7 @@ def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
             f"need more rows than columns for a positive definite covariance "
             f"(n={n}, p={p})"
         )
-    return x
+    return np.ascontiguousarray(x)
 
 
 def _second_moment(x: np.ndarray, center: bool) -> np.ndarray:
@@ -312,15 +314,6 @@ def _fitted(target: BucketDecomposition | IdentificationPlan):
     return target, range(len(target))
 
 
-def _saturated(buckets: BucketDecomposition) -> BucketDecomposition:
-    """The same buckets, each with all earlier ones as external parents."""
-    prefixes, flat = [], ()
-    for bucket in buckets.buckets:
-        prefixes.append(flat)
-        flat += bucket
-    return replace(buckets, external_parents=tuple(prefixes))
-
-
 def g_regression(
     cov: SampleCovariance, buckets: BucketDecomposition | IdentificationPlan
 ) -> BlockRecursiveModel:
@@ -340,7 +333,7 @@ def gbar_regression(
     on the union of the earlier buckets.  The model's ``buckets`` carry
     those prefixes as external parents."""
     dec, fitted = _fitted(buckets)
-    return _block_regression(cov, _saturated(dec), fitted)
+    return _block_regression(cov, dec._saturated(), fitted)
 
 
 def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
@@ -697,6 +690,7 @@ def bootstrap_ci(
     center = _flag(center, "center")
     col = _label_index(columns, plan.buckets.vertex_order, "data columns and plan")
     x = _data_matrix(data, columns)
+    SampleCovariance(_second_moment(x, center), tuple(columns))  # refused as sample_covariance
     n = x.shape[0]
     labels = list(dict.fromkeys(
         v for k, pa in zip(plan.bucket_order, plan.parents_per_bucket)

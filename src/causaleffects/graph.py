@@ -15,11 +15,11 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import GraphValidationError, InconsistentKnowledgeError
+from .errors import GraphValidationError, InconsistentKnowledgeError, _check_fields
 
 __all__ = [
     "Pdag",
@@ -54,8 +54,11 @@ class Pdag:
     undirected:
         Iterable of label pairs, one per undirected edge (order irrelevant).
 
-    Every vertex pair may carry at most one edge, self loops are rejected,
-    and the directed part must be acyclic.  A graph is never changed once
+    Each edge is a list or tuple of two string labels of ``vertices``
+    (:meth:`_ends`, which :func:`construct_mpdag` shares).  Every vertex
+    pair may carry at most one edge, self loops are rejected, and the
+    directed part must be acyclic.  Vertices are checked before edges, and
+    directed edges before undirected ones.  A graph is never changed once
     a public function has returned it, so its bucket decomposition is kept
     on it (``_buckets``) after the first :func:`bucket_decomposition`.
     """
@@ -80,29 +83,34 @@ class Pdag:
         self._ch: list[set[int]] = [set() for _ in range(p)]
         self._nb: list[set[int]] = [set() for _ in range(p)]
         self._buckets: BucketDecomposition | None = None
-
-        def resolve(u, v):
-            try:
-                i, j = self._idx[u], self._idx[v]
-            except KeyError as e:
-                raise GraphValidationError(f"unknown vertex label {e.args[0]!r}") from None
-            if i == j:
-                raise GraphValidationError(f"self loop at {u!r}")
-            if self._adj(i, j):
-                raise GraphValidationError(f"more than one edge between {u!r} and {v!r}")
-            return i, j
-
-        for u, v in directed:
-            i, j = resolve(u, v)
-            self._ch[i].add(j)
-            self._pa[j].add(i)
-        for u, v in undirected:
-            i, j = resolve(u, v)
-            self._nb[i].add(j)
-            self._nb[j].add(i)
+        for kind, edges, out, into in (("directed", directed, self._ch, self._pa),
+                                       ("undirected", undirected, self._nb, self._nb)):
+            for e in edges:
+                i, j = self._ends(e, kind)
+                if i == j:
+                    raise GraphValidationError(f"self loop at {vertices[i]!r}")
+                if self._adj(i, j):
+                    raise GraphValidationError(
+                        f"more than one edge between {vertices[i]!r} and {vertices[j]!r}")
+                out[i].add(j)
+                into[j].add(i)
         self._check_acyclic()
 
     # -- index-level helpers -------------------------------------------------
+
+    def _ends(self, e, kind: str) -> tuple[int, int]:
+        """The vertex indices of the edge entry ``e`` listed under ``kind``:
+        a list or tuple of two string labels of this graph, else
+        :class:`GraphValidationError`.  Every builder reads its entries here."""
+        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+            raise GraphValidationError(f"{kind!r} entries must be [u, v] pairs")
+        u, v = e
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise GraphValidationError(f"{kind!r} endpoints must be string labels")
+        try:
+            return self._idx[u], self._idx[v]
+        except KeyError as err:
+            raise GraphValidationError(f"unknown vertex label {err.args[0]!r}") from None
 
     def _adj(self, i: int, j: int) -> bool:
         return j in self._ch[i] or i in self._ch[j] or j in self._nb[i]
@@ -146,7 +154,7 @@ class Pdag:
     def index(self, label: str) -> int:
         try:
             return self._idx[label]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable label is no vertex either
             raise GraphValidationError(f"unknown vertex label {label!r}") from None
 
     @property
@@ -348,11 +356,12 @@ def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
     no-op, an undirected x - y is oriented and the rules are re-closed, and
     anything else (edge absent, or directed y -> x) raises
     :class:`InconsistentKnowledgeError`.  The final graph is independent of
-    the processing order.
+    the processing order.  A pair is read as :class:`Pdag` reads an edge: a
+    list or tuple of two vertex labels, else :class:`GraphValidationError`.
     """
     m = _copy(_rule_checked(g))
-    for x, y in knowledge:
-        i, j = m.index(x), m.index(y)
+    for e in knowledge:
+        i, j = m._ends(e, "knowledge")
         if j in m._ch[i]:
             continue
         if j in m._nb[i]:
@@ -362,7 +371,8 @@ def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
         else:
             reason = "oriented against it" if j in m._pa[i] else "not adjacent"
             raise InconsistentKnowledgeError(
-                f"knowledge edge {x!r} -> {y!r} cannot be embedded: {reason}"
+                f"knowledge edge {m.vertices[i]!r} -> {m.vertices[j]!r} cannot be embedded: "
+                f"{reason}"
             )
     m._check_acyclic()
     return m
@@ -424,10 +434,16 @@ class BucketDecomposition:
 
     def prefix(self, k: int) -> tuple[str, ...]:
         """Labels of buckets 0..k-1, concatenated in order."""
-        out: list[str] = []
-        for bucket in self.buckets[:k]:
-            out.extend(bucket)
-        return tuple(out)
+        return tuple(v for bucket in self.buckets[:k] for v in bucket)
+
+    def _saturated(self) -> BucketDecomposition:
+        """The same buckets, each with all earlier ones (its :meth:`prefix`)
+        as external parents: the decomposition of the saturated graph."""
+        prefixes, flat = [], ()
+        for bucket in self.buckets:
+            prefixes.append(flat)
+            flat += bucket
+        return replace(self, external_parents=tuple(prefixes))
 
 
 def bucket_decomposition(g: Pdag) -> BucketDecomposition:
@@ -549,7 +565,11 @@ def _check_treatment(treatment: Iterable[str], outcome: str) -> tuple[str, ...]:
     treatment = tuple(treatment)
     if not treatment:
         raise GraphValidationError("treatment set is empty")
-    if len(set(treatment)) != len(treatment):
+    try:
+        distinct = len(set(treatment)) == len(treatment)
+    except TypeError:  # an unhashable entry, which no vertex label is
+        raise GraphValidationError(f"unknown vertex label in treatment {treatment!r}") from None
+    if not distinct:
         raise GraphValidationError("treatment labels must be distinct")
     if outcome in treatment:
         raise GraphValidationError("outcome cannot be part of the treatment set")
@@ -725,9 +745,9 @@ def saturated_mpdag(g: Pdag) -> Mpdag:
     and the result is again rule-closed."""
     dec = bucket_decomposition(g)
     directed = set(g.directed_edges)
-    for k in range(1, len(dec)):
-        for u in dec.prefix(k):
-            for v in dec.buckets[k]:
+    for bucket, prefix in zip(dec.buckets, dec._saturated().external_parents):
+        for u in prefix:
+            for v in bucket:
                 if not g.adjacent(u, v):
                     directed.add((u, v))
     return Mpdag(g.vertices, sorted(directed), g.undirected_edges)
@@ -750,33 +770,15 @@ def graph_from_dict(d: dict, strict: bool = False) -> Pdag:
 
     With ``strict=True`` the graph must additionally be rule-closed and an
     :class:`Mpdag` is returned; the error message names the violated rule.
+    Only the JSON shape is checked here; :class:`Pdag` checks the entries.
     """
-    if not isinstance(d, dict):
-        raise GraphValidationError("graph JSON must be an object")
-    for key in ("vertices", "directed", "undirected"):
-        if key not in d:
-            raise GraphValidationError(f"graph JSON is missing the {key!r} field")
-    extras = set(d) - {"vertices", "directed", "undirected"}
-    if extras:
-        raise GraphValidationError(f"unknown graph JSON fields: {sorted(extras)}")
-    if not isinstance(d["vertices"], list):
-        raise GraphValidationError("'vertices' must be an array of labels")
-
-    def pairs(key):
+    _check_fields(d, "graph JSON", ("vertices", "directed", "undirected"))
+    for key, of in (("vertices", "labels"), ("directed", "[u, v] pairs"),
+                    ("undirected", "[u, v] pairs")):
         if not isinstance(d[key], list):
-            raise GraphValidationError(f"{key!r} must be an array of [u, v] pairs")
-        out = []
-        for e in d[key]:
-            if not (isinstance(e, (list, tuple)) and len(e) == 2):
-                raise GraphValidationError(f"{key!r} entries must be [u, v] pairs")
-            u, v = e
-            if not (isinstance(u, str) and isinstance(v, str)):
-                raise GraphValidationError(f"{key!r} endpoints must be string labels")
-            out.append((u, v))
-        return out
-
+            raise GraphValidationError(f"{key!r} must be an array of {of}")
     cls = Mpdag if strict else Pdag
-    return cls(d["vertices"], pairs("directed"), pairs("undirected"))
+    return cls(d["vertices"], d["directed"], d["undirected"])
 
 
 def load_graph(path, strict: bool = False) -> Pdag:

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GraphValidationError, _check_seed, _finite, _flag, _float_array, _integer
+from .errors import (GraphValidationError, _check_fields, _check_seed, _finite, _flag,
+                     _float_array, _integer)
 from .graph import Pdag, _check_query, graph_from_dict, graph_to_dict
 from .identify import build_plan
 from .estimate import BlockRecursiveModel, effect_from_lambda
@@ -331,13 +332,9 @@ def sem_to_dict(sem: LinearSem) -> dict:
 def sem_from_dict(d: dict) -> LinearSem:
     """Build a SEM from the JSON structure of :func:`sem_to_dict`:
     ``{"graph": {...}, "coefficients": [[u, v, value], ...],
-    "errors": [{"family": ..., "param": ...}, ...]}``.  A missing or
+    "errors": [{"family": ..., "param": ...}, ...]}``.  A missing, unknown or
     malformed field raises :class:`GraphValidationError` naming it."""
-    if not isinstance(d, dict):
-        raise GraphValidationError("SEM JSON must be an object")
-    for key in ("graph", "coefficients", "errors"):
-        if key not in d:
-            raise GraphValidationError(f"SEM JSON is missing the {key!r} field")
+    _check_fields(d, "SEM JSON", ("graph", "coefficients", "errors"))
     g = graph_from_dict(d["graph"])
     p = g.n_vertices
     gamma = np.zeros((p, p))

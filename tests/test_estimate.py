@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -93,6 +94,8 @@ def test_sample_covariance_rejects_degenerate_inputs():
     bad[0, 0] = np.nan
     with pytest.raises(DegenerateSampleError):
         sample_covariance(bad, ("x", "y"))
+    with pytest.raises(DegenerateSampleError, match="^data must be a 2d array$"):
+        sample_covariance(np.zeros(5), ["a"])
 
 
 def test_sample_covariance_matrix_validation():
@@ -102,6 +105,8 @@ def test_sample_covariance_matrix_validation():
         SampleCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]), ("x", "y"))
     with pytest.raises(DegenerateSampleError):
         SampleCovariance(np.eye(3), ("x", "y"))
+    with pytest.raises(DegenerateSampleError, match="^covariance contains non-finite values$"):
+        SampleCovariance(np.full((2, 2), np.nan), ("x", "y"))
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +785,7 @@ def test_bootstrap_needs_two_replicates(chain_sem, n_boot):
         (dict(level=np.nan), "level must be a finite number, got nan"),
         (dict(level="0.9"), "level must be a finite number, got '0.9'"),
         (dict(seed=True), "seed must be an integer, got True"),
+        (dict(level=10**400), "level must be a finite number, got 1000"),  # float() overflows
     ],
 )
 def test_bootstrap_refuses_bad_arguments(chain_sem, kwargs, message):
@@ -844,14 +850,16 @@ def test_bootstrap_refuses_fragile_samples():
     plan = build_plan(g, ("z1",), "b")
     rng = rng_from_seed(5)
     distinct = dict(zip("rst", rng.normal(size=(3, 3))))
-    # rrrrs: only two distinct rows, a third of resamples copies of r alone;
-    # drawing stops at the cap.  rrrst: over half of the resamples miss s or t.
-    for rows, n_boot in (("rrrrs", 50), ("rrrst", 20)):
+    # rrrrrrst: over half of the resamples miss s or t, and drawing stops
+    # at the cap.  rrrst: fewer rejections, but still more than 10%.  Both
+    # have a positive definite X'X/n, so bootstrap_ci starts drawing.
+    for rows, n_boot in (("rrrrrrst", 50), ("rrrst", 20)):
         data = np.array([distinct[c] for c in rows])
+        sample_covariance(data, g.vertices)
         lower, _, _, rejected = oracles.bootstrap_loop_oracle(
             data, g.vertices, plan, n_boot=n_boot, level=0.95, seed=2
         )
-        assert lower is None and (rejected > max(10, n_boot)) == (rows == "rrrrs")
+        assert lower is None and (rejected > max(10, n_boot)) == (rows == "rrrrrrst")
         with pytest.raises(IllConditionedError, match="bootstrap") as exc:
             bootstrap_ci(data, g.vertices, plan, n_boot=n_boot, seed=2)
         assert str(exc.value) == (
@@ -860,19 +868,41 @@ def test_bootstrap_refuses_fragile_samples():
         )
 
 
-def test_bootstrap_refuses_bad_data_before_drawing(chain_sem):
-    """Data that sample_covariance refuses raise its own reason, not a
-    count of rejected replicates."""
+def _counting_philox(monkeypatch) -> list:
+    """The list that each later ``np.random.Philox(...)`` call appends to."""
+    made, real = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(k) or real(*a, **k))
+    return made
+
+
+def test_bootstrap_refuses_bad_data_before_drawing(chain_sem, monkeypatch):
+    """Data that sample_covariance refuses raise its own message before any
+    generator is made, not a count of rejected replicates."""
     g = chain_sem.graph
     plan = build_plan(g, ("a",), "y")
     data = sample(chain_sem, 200, rng_from_seed(13))
-    with_nan = data.copy()
+    with_nan, collinear, huge = data.copy(), data.copy(), data.copy()
     with_nan[7, 1] = np.nan
-    for bad, reason in ((with_nan, "non-finite"),
-                        (data[:, :2], "2 columns but 3 vertex labels"),
-                        (data[:3], "more rows than columns")):
-        with pytest.raises(DegenerateSampleError, match=reason):
-            bootstrap_ci(bad, g.vertices, plan, n_boot=40)
+    collinear[:, 2] = 2.0 * collinear[:, 1] - collinear[:, 0]
+    huge[5, 0] = 1e200  # X'X/n overflows, and numpy warns
+    made = _counting_philox(monkeypatch)
+
+    def refusal(call, bad, center):
+        kw = {"plan": plan, "n_boot": 40} if call is bootstrap_ci else {}
+        with pytest.raises(DegenerateSampleError) as exc:
+            call(bad, g.vertices, center=center, **kw)
+        return str(exc.value)
+
+    for center in (False, True):
+        for bad, reason in ((with_nan, "non-finite"),
+                            (data[:, :2], "2 columns but 3 vertex labels"),
+                            (data[:3], "more rows than columns"),
+                            (collinear, "covariance matrix is not positive definite"),
+                            (huge, "covariance contains non-finite values")):
+            with pytest.warns(RuntimeWarning, match="overflow") if bad is huge else nullcontext():
+                got, want = (refusal(call, bad, center) for call in (bootstrap_ci, sample_covariance))
+            assert got == want and reason in got
+    assert made == []
 
 
 def _bootstrap_against_loop(data, columns, plan, **kw):
@@ -988,6 +1018,23 @@ def test_bootstrap_draws_are_pinned_bit_for_bit(chain_sem):
         assert got == _PINNED_BOOTSTRAP[name], name
 
 
+def test_centred_results_do_not_depend_on_the_data_layout(chain_sem):
+    """Column means add in one order for row-major and column-major data,
+    so centred estimates and bootstrap intervals agree bit for bit."""
+    g = chain_sem.graph
+    plan = build_plan(g, ("a",), "y")
+    for r, n in enumerate((100, 300, 1000, 2000)):
+        rows = sample(chain_sem, n, rng_from_seed(60, r)) + np.array([3.0, -7.5, 11.0])
+        cols = np.asfortranarray(rows)
+        est = [estimate_total_effect(g, ("a",), "y", data=x, center=True) for x in (rows, cols)]
+        boot = [bootstrap_ci(x, g.vertices, plan, n_boot=20, seed=r, center=True)
+                for x in (rows, cols)]
+        # reprs of lists, which are exact where an array's repr rounds
+        got = [repr((e.tau.tolist(), e.acov.tolist(), [v.tolist() for v in b[:3]]))
+               for e, b in zip(est, boot)]
+        assert got[0] == got[1]
+
+
 @pytest.mark.parametrize("n_boot", [2, 25, 500])
 def test_bootstrap_makes_one_generator_per_call(chain_sem, monkeypatch, n_boot):
     """Replicates reset the counter of one Philox generator; none constructs
@@ -997,8 +1044,7 @@ def test_bootstrap_makes_one_generator_per_call(chain_sem, monkeypatch, n_boot):
     g = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
     distinct = dict(zip("rst", rng_from_seed(5).normal(size=(3, 3))))
     fragile = np.array([distinct[c] for c in "rrrst"])
-    made, real = [], np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(k) or real(*a, **k))
+    made = _counting_philox(monkeypatch)
     batches = _counting(monkeypatch, "_fit_stack")
     bootstrap_ci(chain, chain_sem.graph.vertices, build_plan(chain_sem.graph, ("a",), "y"),
                  n_boot=n_boot, seed=9)

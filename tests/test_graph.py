@@ -90,6 +90,66 @@ def test_mpdag_rejects_open_rule():
         Mpdag(("a", "b", "c"), directed=(("a", "b"),), undirected=(("b", "c"),))
 
 
+# One malformed edge entry of each kind, and the refusal it gets from every
+# builder (the entry's field name precedes the first three).
+_BAD_ENTRIES = {
+    "short": (("a",), "entries must be \\[u, v\\] pairs"),
+    "long": (("a", "b", "c"), "entries must be \\[u, v\\] pairs"),
+    "non-string": (("a", 1), "endpoints must be string labels"),
+    "unhashable": ((["a"], "b"), "endpoints must be string labels"),
+    "array row": (np.array(["a", "b"]), "entries must be \\[u, v\\] pairs"),
+    "unknown": (("a", "q"), "unknown vertex label 'q'"),
+}
+_OPEN = Mpdag(("a", "b", "c"), directed=(("b", "c"),), undirected=(("a", "b"),))
+_EDGE_BUILDERS = {
+    "Pdag directed": ("directed", lambda e: Pdag(_OPEN.vertices, [e])),
+    "Pdag undirected": ("undirected", lambda e: Pdag(_OPEN.vertices, (), [e])),
+    "Mpdag": ("directed", lambda e: Mpdag(_OPEN.vertices, [("b", "c"), e])),
+    "graph_from_dict": ("undirected", lambda e: graph_from_dict(
+        {"vertices": list(_OPEN.vertices), "directed": [], "undirected": [e]})),
+    "construct_mpdag": ("knowledge", lambda e: construct_mpdag(_OPEN, [("a", "b"), e])),
+}
+
+
+@pytest.mark.parametrize("builder", list(_EDGE_BUILDERS))
+@pytest.mark.parametrize("entry", list(_BAD_ENTRIES))
+def test_every_builder_reads_edge_entries_by_one_rule(builder, entry):
+    """Library constructors refuse a malformed entry with the message that
+    JSON input gets, never a raw ValueError or TypeError."""
+    kind, build = _EDGE_BUILDERS[builder]
+    e, message = _BAD_ENTRIES[entry]
+    if entry != "unknown":
+        message = f"'{kind}' {message}"
+    with pytest.raises(GraphValidationError, match=f"^{message}$"):
+        build(e)
+    build(["a", "b"] if builder != "Mpdag" else ["a", "c"])  # a list is a pair
+
+
+_BAD_LABELS = {"short": ("a",), "long": ("a", "b"), "non-string": 1, "unhashable": ["a"]}
+_LABEL_QUERIES = {
+    "index": lambda v: _OPEN.index(v),
+    "parents_of": lambda v: _OPEN.parents_of(v),
+    "possible_descendants": lambda v: possible_descendants(_OPEN, [v]),
+    "ancestors_in_subgraph outcome": lambda v: ancestors_in_subgraph(_OPEN, v),
+    "ancestors_in_subgraph removed": lambda v: ancestors_in_subgraph(_OPEN, "c", [v]),
+    "proper_undirected_start_path treatment": lambda v: proper_undirected_start_path(
+        _OPEN, [v], "c"),
+    "proper_undirected_start_path outcome": lambda v: proper_undirected_start_path(
+        _OPEN, ["a"], v),
+    "build_plan treatment": lambda v: build_plan(_OPEN, [v], "c"),
+    "build_plan outcome": lambda v: build_plan(_OPEN, ["b"], v),
+}
+
+
+@pytest.mark.parametrize("query", list(_LABEL_QUERIES))
+@pytest.mark.parametrize("label", list(_BAD_LABELS))
+def test_every_label_lookup_refuses_a_non_vertex(query, label):
+    """A tuple, a number or an unhashable list is no vertex label: each
+    lookup raises GraphValidationError, not TypeError."""
+    with pytest.raises(GraphValidationError, match="^unknown vertex label"):
+        _LABEL_QUERIES[query](_BAD_LABELS[label])
+
+
 # ---------------------------------------------------------------------------
 # orientation rules
 
@@ -696,6 +756,40 @@ def test_graph_from_dict_rejects_bad_schema():
     ):
         with pytest.raises(GraphValidationError):
             graph_from_dict(bad)
+
+
+_GRAPH_JSON = {"vertices": ["a", "b", "c"], "directed": [["b", "c"]], "undirected": [["a", "b"]]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: [d], "graph JSON must be an object"),
+        (lambda d: {k: v for k, v in d.items() if k != "directed"},
+         "graph JSON is missing the 'directed' field"),
+        (lambda d: {**d, "z": 1, "y": 2}, "unknown graph JSON fields: ['y', 'z']"),
+        (lambda d: {**d, "vertices": "abc"}, "'vertices' must be an array of labels"),
+        (lambda d: {**d, "directed": None}, "'directed' must be an array of [u, v] pairs"),
+        (lambda d: {**d, "undirected": 3}, "'undirected' must be an array of [u, v] pairs"),
+        (lambda d: {**d, "directed": ["bc"]}, "'directed' entries must be [u, v] pairs"),
+        (lambda d: {**d, "undirected": [[1, "b"]]}, "'undirected' endpoints must be string labels"),
+        (lambda d: {**d, "vertices": ["a", "b", "c", 1]}, "vertex labels must be strings"),
+        (lambda d: {**d, "vertices": ["a", "a", "b", "c"]}, "duplicate vertex labels"),
+        (lambda d: {**d, "directed": [["c", "c"]]}, "self loop at 'c'"),
+        (lambda d: {**d, "undirected": [["a", "b"], ["b", "a"]]},
+         "more than one edge between 'b' and 'a'"),
+        # two faults: vertices are checked before edges, directed before undirected
+        (lambda d: {**d, "vertices": ["a", "a", "b", "c"], "directed": [["b"]]},
+         "duplicate vertex labels"),
+        (lambda d: {**d, "directed": [["b", "q"]], "undirected": [["a"]]},
+         "unknown vertex label 'q'"),
+    ],
+)
+def test_graph_from_dict_names_the_fault(edit, message):
+    graph_from_dict(_GRAPH_JSON, strict=True)
+    with pytest.raises(GraphValidationError) as exc:
+        graph_from_dict(edit(_GRAPH_JSON))
+    assert str(exc.value) == message
 
 
 def test_graph_from_dict_strict_requires_closure():

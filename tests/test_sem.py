@@ -86,6 +86,9 @@ def test_linear_sem_validates_support(chain_sem):
         LinearSem(g, bad, chain_sem.errors)
     with pytest.raises(GraphValidationError):
         LinearSem(g, chain_sem.gamma, chain_sem.errors[:2])
+    two = Pdag(("a", "b"), (("a", "b"),))
+    with pytest.raises(GraphValidationError, match=r"^gamma must be 2x2, got \(3, 3\)$"):
+        LinearSem(two, chain_sem.gamma, chain_sem.errors[:2])
 
 
 def _gamma_with(sem, value):
@@ -389,6 +392,8 @@ def _sem_dict():
         (lambda d: {**d, "coefficients": [["a", "b"]]}, "'coefficients' must be an array"),
         (lambda d: {**d, "coefficients": [["a", "b", "x"]]}, "'coefficients' must be an array"),
         (lambda d: {**d, "coefficients": [["a", "q", 1.0]]}, "unknown vertex label 'q'"),
+        (lambda d: {**d, "coefficients": [[["a"], "b", 1.0]]}, r"unknown vertex label \['a'\]"),
+        (lambda d: {**d, "extra": 1}, r"^unknown SEM JSON fields: \['extra'\]$"),
         (lambda d: {**d, "coefficients": [["b", "a", 1.0]]}, "off the edge set"),
         (lambda d: {**d, "coefficients": [["a", "b", "inf"]]}, "gamma contains non-finite"),
         (lambda d: {**d, "errors": None}, "'errors' must be an array"),
