@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one rule for what a
-count, a finite number, a flag, a float array and a JSON object are."""
+count, a finite number, a flag, a float array, a JSON object, a sequence and
+a map from vertex labels to positions are."""
 
 import math
 
@@ -103,3 +104,47 @@ def _check_seed(seed) -> int:
     if not 0 <= value < 2**64:
         raise GraphValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return value
+
+
+def _sequence(value, name: str) -> tuple:
+    """``value`` as a tuple when it is iterable (read once, so a generator
+    serves; a string gives its characters); raises
+    :class:`GraphValidationError` naming ``name`` otherwise."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise GraphValidationError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _label_map(labels: tuple) -> dict:
+    """Each of ``labels`` -> its position: the one map from vertex labels to
+    positions, kept by graphs, covariances and estimators alike.  A
+    repeated or unhashable label raises :class:`GraphValidationError`; so
+    does a lookup of a label the map lacks, by :func:`_unknown_label`."""
+    index = {}
+    for i, v in enumerate(labels):
+        try:
+            if index.setdefault(v, i) != i:
+                raise GraphValidationError(f"duplicate vertex label {v!r}")
+        except TypeError:
+            raise GraphValidationError(f"unhashable vertex label {v!r}") from None
+    return index
+
+
+def _unknown_label(label) -> GraphValidationError:
+    """The error for looking up ``label`` in a :func:`_label_map` that lacks
+    it or cannot hash it.  A hot lookup raises it from its own ``except
+    (KeyError, TypeError)``; the others call :func:`_positions`."""
+    return GraphValidationError(f"unknown vertex label {label!r}")
+
+
+def _positions(index: dict, labels) -> list[int]:
+    """The position of each of ``labels`` in ``index``, a :func:`_label_map`;
+    raises :func:`_unknown_label` for the first label it lacks."""
+    out = []
+    for v in labels:
+        try:
+            out.append(index[v])
+        except (KeyError, TypeError):
+            raise _unknown_label(v) from None
+    return out

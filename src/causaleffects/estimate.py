@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DegenerateSampleError, GraphValidationError, IllConditionedError,
-                     _check_seed, _finite, _flag, _float_array, _integer)
+                     _check_seed, _finite, _flag, _float_array, _integer, _label_map,
+                     _positions, _sequence)
 from .graph import BucketDecomposition, Pdag, _check_treatment
 from .identify import IdentificationPlan, build_plan
 
@@ -52,31 +53,12 @@ __all__ = [
 COND_LIMIT = 1e10
 
 
-class _LabelIndex(dict):
-    """Label -> position; looking up a label it lacks raises
-    :class:`GraphValidationError`."""
-
-    def __missing__(self, label):
-        raise GraphValidationError(f"unknown vertex label {label!r}")
-
-
-def _label_index(
-    labels: Sequence[str], vertices: Sequence[str] | None = None, what: str = ""
-) -> _LabelIndex:
-    """Map each of ``labels`` (names of matrix rows or data columns) to its
-    position.
-
-    A repeated label raises :class:`GraphValidationError`, and so do, given
-    ``vertices``, another label set ("{what} cover different vertex sets")
-    and looking up a label the map lacks.
-    """
-    index = _LabelIndex(zip(labels, range(len(labels))))
-    if len(index) != len(labels):
-        repeated = next(v for i, v in enumerate(labels) if index[v] != i)
-        raise GraphValidationError(f"duplicate vertex label {repeated!r}")
-    if vertices is not None and index.keys() != set(vertices):
+def _check_cover(index: dict, vertices: Sequence[str], what: str) -> None:
+    """Refuse with :class:`GraphValidationError` unless the labels of
+    ``index`` (a :func:`~causaleffects.errors._label_map` of matrix rows or
+    data columns) are ``vertices``."""
+    if index.keys() != set(vertices):
         raise GraphValidationError(f"{what} cover different vertex sets")
-    return index
 
 
 @dataclass(frozen=True)
@@ -87,9 +69,9 @@ class SampleCovariance:
     1 (stored as a Python int); population covariances use ``n=None``.  The
     matrix must hold numbers, be symmetric (to 1e-12) and positive definite
     (:class:`DegenerateSampleError`), and
-    ``vertex_order`` must not repeat a label (:class:`GraphValidationError`
-    for the label and for ``n``); :meth:`positions` refuses a label outside
-    it.
+    ``vertex_order`` must be a sequence of hashable labels without a repeat
+    (:class:`GraphValidationError` for the labels and for ``n``);
+    :meth:`positions` refuses a label outside it.
     """
 
     matrix: np.ndarray
@@ -105,8 +87,8 @@ class SampleCovariance:
             object.__setattr__(self, "n", n)
         m = _float_array(self.matrix, "covariance matrix", DegenerateSampleError)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "vertex_order", tuple(self.vertex_order))
-        object.__setattr__(self, "_index", _label_index(self.vertex_order))
+        object.__setattr__(self, "vertex_order", _sequence(self.vertex_order, "vertex_order"))
+        object.__setattr__(self, "_index", _label_map(self.vertex_order))
         p = len(self.vertex_order)
         if m.shape != (p, p):
             raise DegenerateSampleError(
@@ -124,7 +106,7 @@ class SampleCovariance:
             ) from None
 
     def positions(self, labels: Sequence[str]) -> np.ndarray:
-        return np.array([self._index[v] for v in labels], dtype=int)
+        return np.array(_positions(self._index, _sequence(labels, "labels")), dtype=int)
 
 
 def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
@@ -172,8 +154,9 @@ def sample_covariance(
     :class:`SampleCovariance` does.
     """
     center = _flag(center, "center")
+    vertex_order = _sequence(vertex_order, "vertex_order")
     x = _data_matrix(data, vertex_order)
-    return SampleCovariance(_second_moment(x, center), tuple(vertex_order), n=len(x))
+    return SampleCovariance(_second_moment(x, center), vertex_order, n=len(x))
 
 
 def _condition(a: np.ndarray) -> np.ndarray:
@@ -298,7 +281,7 @@ def _block_regression(
     cov: SampleCovariance, buckets: BucketDecomposition, fitted
 ) -> BlockRecursiveModel:
     """:func:`_fit_stack` on ``cov`` alone."""
-    _label_index(cov.vertex_order, buckets.vertex_order, "covariance and bucket decomposition")
+    _check_cover(cov._index, buckets.vertex_order, "covariance and bucket decomposition")
     lambdas, omegas, _ = _fit_stack(cov.matrix[None], buckets, fitted, cov._index, strict=True)
     return BlockRecursiveModel(
         buckets,
@@ -351,7 +334,7 @@ def covariance_map(model: BlockRecursiveModel) -> np.ndarray:
             "were not fitted"
         )
     buckets = model.buckets
-    pos = _label_index(buckets.vertex_order)
+    pos = _label_map(buckets.vertex_order)
     s = np.zeros((len(pos), len(pos)))
     prefix: list[int] = []
     for k, bucket in enumerate(buckets.buckets):
@@ -373,7 +356,7 @@ def _block_entries(plan: IdentificationPlan):
     the b-th plan bucket, with r the parent's row in (A, D) and d the
     member's column in D."""
     n_a = len(plan.treatment)
-    row = _label_index(plan.treatment + plan.d_set)
+    row = _label_map(plan.treatment + plan.d_set)
     for b, (k, dk, pa) in enumerate(zip(plan.bucket_order, plan.d_buckets,
                                         plan.parents_per_bucket)):
         bucket = plan.buckets.buckets[k]
@@ -433,7 +416,11 @@ def effect_gradients(
     D are zero.  Buckets that do not meet D are omitted (all-zero
     gradient).
     """
-    lam_ad, m = _assemble_effect(model, plan)
+    return _gradients(plan, *_assemble_effect(model, plan))
+
+
+def _gradients(plan: IdentificationPlan, lam_ad: np.ndarray, m: np.ndarray) -> dict:
+    """:func:`effect_gradients` from the matrices of :func:`_effect_matrices`."""
     n_a = len(plan.treatment)
     # c_i by row of (A, D): the treatment indicators, then R
     c_row = np.hstack([np.eye(n_a), lam_ad @ m])
@@ -485,8 +472,7 @@ def delta_method_acov(
     ``cov`` must cover the vertices of the plan's bucket decomposition,
     as in :func:`g_regression` (:class:`GraphValidationError`).
     """
-    _label_index(cov.vertex_order, plan.buckets.vertex_order,
-                 "covariance and bucket decomposition")
+    _check_cover(cov._index, plan.buckets.vertex_order, "covariance and bucket decomposition")
     grads = effect_gradients(model, plan)
     return _sandwich(grads, model.omega_blocks, plan, cov, len(plan.treatment))
 
@@ -581,12 +567,14 @@ def adjustment_estimate(
     this consistent; the function does not check validity.
 
     ``columns`` names the data columns; a repeated column label, a
-    treatment, outcome or adjustment label outside ``columns``, or a
-    ``center`` that is not a bool, raises :class:`GraphValidationError`
-    before any moment is formed.
+    treatment, outcome or adjustment label outside ``columns`` (checked
+    before the sets' distinctness), or a ``center`` that is not a bool,
+    raises :class:`GraphValidationError` before any moment is formed.
     """
     center = _flag(center, "center")
-    treatment, adjust = _check_treatment(treatment, outcome), tuple(adjust)
+    columns = _sequence(columns, "columns")
+    treatment, adjust = _check_treatment(treatment, outcome), _sequence(adjust, "adjust")
+    _positions(_label_map(columns), treatment + adjust + (outcome,))  # each label a column
     if len(set(adjust)) != len(adjust):
         raise GraphValidationError("adjustment set labels must be distinct")
     overlap = (set(treatment) | {outcome}) & set(adjust)
@@ -594,9 +582,6 @@ def adjustment_estimate(
         raise GraphValidationError(
             f"adjustment set overlaps treatment/outcome: {sorted(overlap)}"
         )
-    index = _label_index(columns)
-    for v in treatment + adjust + (outcome,):
-        index[v]  # refuses a label outside the columns
     cov = sample_covariance(data, columns, center=center)
     return _adjustment_from_cov(cov, treatment, outcome, adjust)
 
@@ -688,9 +673,11 @@ def bootstrap_ci(
     """
     n_boot, level, seed = _check_bootstrap(n_boot, level, seed)
     center = _flag(center, "center")
-    col = _label_index(columns, plan.buckets.vertex_order, "data columns and plan")
+    columns = _sequence(columns, "columns")
+    col = _label_map(columns)
+    _check_cover(col, plan.buckets.vertex_order, "data columns and plan")
     x = _data_matrix(data, columns)
-    SampleCovariance(_second_moment(x, center), tuple(columns))  # refused as sample_covariance
+    SampleCovariance(_second_moment(x, center), columns)  # refused as sample_covariance
     n = x.shape[0]
     labels = list(dict.fromkeys(
         v for k, pa in zip(plan.bucket_order, plan.parents_per_bucket)
@@ -698,7 +685,7 @@ def bootstrap_ci(
     ))
     sub = np.array([col[v] for v in labels], dtype=int)
     grid = np.ix_(sub, sub)
-    local = _label_index(labels)
+    local = _label_map(labels)
     y = plan.d_set.index(plan.outcome)
     taus = np.empty((n_boot, len(plan.treatment)))
     got = 0
@@ -794,12 +781,14 @@ def estimate_total_effect(
         seed, level = _check_seed(seed), _check_level(level)
     plan = build_plan(graph, treatment, outcome)
     if data is not None:
-        columns = tuple(columns) if columns is not None else graph.vertices
+        columns = _sequence(columns, "columns") if columns is not None else graph.vertices
         cov = sample_covariance(data, columns, center=center)
     model = g_regression(cov, plan)
-    tau = effect_from_lambda(model, plan)
+    # one assembly serves tau (as effect_from_lambda reads it) and the gradients
+    lam_ad, m = _assemble_effect(model, plan)
+    tau = lam_ad @ m[:, plan.d_set.index(plan.outcome)]
     # the fit accepted every plan bucket's parent covariance: no second test
-    acov = _sandwich(effect_gradients(model, plan), model.omega_blocks, plan, cov,
+    acov = _sandwich(_gradients(plan, lam_ad, m), model.omega_blocks, plan, cov,
                      len(plan.treatment), tested=True)
     est = EffectEstimate(
         treatment=plan.treatment,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import GraphValidationError, InconsistentKnowledgeError, _check_fields
+from .errors import (GraphValidationError, InconsistentKnowledgeError, _check_fields,
+                     _label_map, _sequence, _unknown_label)
 
 __all__ = [
     "Pdag",
@@ -54,7 +55,10 @@ class Pdag:
     undirected:
         Iterable of label pairs, one per undirected edge (order irrelevant).
 
-    Each edge is a list or tuple of two string labels of ``vertices``
+    Each argument is read once, as :func:`~causaleffects.errors._sequence`
+    reads it.  The labels' positions are kept in ``_idx``, a
+    :func:`~causaleffects.errors._label_map`, which refuses a repeated
+    label.  Each edge is a list or tuple of two string labels of ``vertices``
     (:meth:`_ends`, which :func:`construct_mpdag` shares).  Every vertex
     pair may carry at most one edge, self loops are rejected, and the
     directed part must be acyclic.  Vertices are checked before edges, and
@@ -71,13 +75,11 @@ class Pdag:
         directed: Iterable[tuple[str, str]] = (),
         undirected: Iterable[tuple[str, str]] = (),
     ):
-        vertices = tuple(vertices)
+        vertices = _sequence(vertices, "vertices")
         if any(not isinstance(v, str) for v in vertices):
             raise GraphValidationError("vertex labels must be strings")
-        if len(set(vertices)) != len(vertices):
-            raise GraphValidationError("duplicate vertex labels")
         self.vertices = vertices
-        self._idx = {v: i for i, v in enumerate(vertices)}
+        self._idx = _label_map(vertices)
         p = len(vertices)
         self._pa: list[set[int]] = [set() for _ in range(p)]
         self._ch: list[set[int]] = [set() for _ in range(p)]
@@ -85,7 +87,7 @@ class Pdag:
         self._buckets: BucketDecomposition | None = None
         for kind, edges, out, into in (("directed", directed, self._ch, self._pa),
                                        ("undirected", undirected, self._nb, self._nb)):
-            for e in edges:
+            for e in _sequence(edges, kind):
                 i, j = self._ends(e, kind)
                 if i == j:
                     raise GraphValidationError(f"self loop at {vertices[i]!r}")
@@ -107,10 +109,10 @@ class Pdag:
         u, v = e
         if not (isinstance(u, str) and isinstance(v, str)):
             raise GraphValidationError(f"{kind!r} endpoints must be string labels")
-        try:
+        try:  # string labels: only a missing one fails
             return self._idx[u], self._idx[v]
         except KeyError as err:
-            raise GraphValidationError(f"unknown vertex label {err.args[0]!r}") from None
+            raise _unknown_label(err.args[0]) from None
 
     def _adj(self, i: int, j: int) -> bool:
         return j in self._ch[i] or i in self._ch[j] or j in self._nb[i]
@@ -155,7 +157,7 @@ class Pdag:
         try:
             return self._idx[label]
         except (KeyError, TypeError):  # an unhashable label is no vertex either
-            raise GraphValidationError(f"unknown vertex label {label!r}") from None
+            raise _unknown_label(label) from None
 
     @property
     def directed_edges(self) -> tuple[tuple[str, str], ...]:
@@ -360,7 +362,7 @@ def construct_mpdag(g: Pdag, knowledge: Iterable[tuple[str, str]]) -> Mpdag:
     list or tuple of two vertex labels, else :class:`GraphValidationError`.
     """
     m = _copy(_rule_checked(g))
-    for e in knowledge:
+    for e in _sequence(knowledge, "knowledge"):
         i, j = m._ends(e, "knowledge")
         if j in m._ch[i]:
             continue
@@ -430,7 +432,10 @@ class BucketDecomposition:
         return len(self.buckets)
 
     def bucket_of(self, label: str) -> int:
-        return self._bucket_index[label]
+        try:
+            return self._bucket_index[label]
+        except (KeyError, TypeError):
+            raise _unknown_label(label) from None
 
     def prefix(self, k: int) -> tuple[str, ...]:
         """Labels of buckets 0..k-1, concatenated in order."""
@@ -543,7 +548,7 @@ def ancestors_in_subgraph(g: Pdag, y: str, removed: Iterable[str] = ()) -> froze
     """Vertices with a directed path to ``y`` (including ``y``) in the graph
     induced on the vertices outside ``removed``.  Undirected edges do not
     contribute."""
-    gone = {g.index(v) for v in removed}
+    gone = {g.index(v) for v in _sequence(removed, "removed")}
     t = g.index(y)
     if t in gone:
         raise GraphValidationError(f"outcome {y!r} is among the removed vertices")
@@ -562,7 +567,7 @@ def _check_treatment(treatment: Iterable[str], outcome: str) -> tuple[str, ...]:
     """``treatment`` as a tuple once it forms a query with ``outcome``: a
     non-empty set of distinct labels without the outcome.  The rules that
     need no graph; :func:`_check_query` adds the labels'."""
-    treatment = tuple(treatment)
+    treatment = _sequence(treatment, "treatment")
     if not treatment:
         raise GraphValidationError("treatment set is empty")
     try:
@@ -660,7 +665,7 @@ def possible_descendants(g: Pdag, sources: Iterable[str]) -> frozenset[str]:
     :class:`GraphValidationError` when it is not closed.
     """
     g = _rule_checked(g)
-    parent, _ = _unshielded_search(g, [g.index(s) for s in sources])
+    parent, _ = _unshielded_search(g, [g.index(s) for s in _sequence(sources, "sources")])
     return frozenset(g.vertices[v] for _, v in parent)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import GraphValidationError, NotIdentifiedError
+from .errors import GraphValidationError, NotIdentifiedError, _sequence
 from .graph import (
     BucketDecomposition,
     Pdag,
@@ -75,7 +75,7 @@ def build_plan(g: Pdag, treatment: Iterable[str], outcome: str) -> Identificatio
     the parents of the whole bucket, and every such parent lies in the
     treatment set or an earlier D_j.
     """
-    treatment = tuple(treatment)
+    treatment = _sequence(treatment, "treatment")
     path = proper_undirected_start_path(g, treatment, outcome)  # checks the query
     if path is not None:
         raise NotIdentifiedError(

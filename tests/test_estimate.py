@@ -18,9 +18,11 @@ from causaleffects import (
     Pdag,
     SampleCovariance,
     adjustment_estimate,
+    ancestors_in_subgraph,
     bucket_decomposition,
     build_plan,
     bootstrap_ci,
+    construct_mpdag,
     covariance_map,
     delta_method_acov,
     effect_from_lambda,
@@ -30,6 +32,8 @@ from causaleffects import (
     g_regression,
     gbar_regression,
     is_identified,
+    possible_descendants,
+    proper_undirected_start_path,
     random_dag,
     random_sem,
     rng_from_seed,
@@ -37,7 +41,8 @@ from causaleffects import (
     sample_covariance,
     true_effect_pathsum,
 )
-from causaleffects.estimate import COND_LIMIT, _fit_stack, _label_index, _solve_spd
+from causaleffects.errors import _label_map
+from causaleffects.estimate import COND_LIMIT, _fit_stack, _solve_spd
 
 from . import oracles
 from .conftest import exact_cov_data, random_mpdag
@@ -75,6 +80,98 @@ def test_repeated_label_is_refused(chain_sem, entry):
     data = np.hstack([sample(chain_sem, 200, rng_from_seed(4)), junk])
     with pytest.raises(GraphValidationError, match="duplicate vertex label 'y'"):
         _REPEATED_LABEL[entry](chain_sem.graph, data, ("a", "m", "y", "y"))
+
+
+# Every argument that holds labels or edges, given no sequence at all (None
+# where it has no default, and a number), and a label that no map can hold
+# at each entry point that looks labels up: each is refused by the one label
+# rule with GraphValidationError.
+_CHAIN = Mpdag(("a", "m", "y"), directed=(("a", "m"), ("m", "y")))
+_CHAIN_DATA = rng_from_seed(6).normal(size=(50, 3))
+_CHAIN_PLAN = build_plan(_CHAIN, ("a",), "y")
+_SEQUENCE_ARGUMENTS = {
+    "Pdag vertices": ("vertices", lambda v: Pdag(v)),
+    "Pdag directed": ("directed", lambda v: Pdag(_CHAIN.vertices, v)),
+    "Pdag undirected": ("undirected", lambda v: Pdag(_CHAIN.vertices, (), v)),
+    "construct_mpdag knowledge": ("knowledge", lambda v: construct_mpdag(_CHAIN, v)),
+    "build_plan treatment": ("treatment", lambda v: build_plan(_CHAIN, v, "y")),
+    "is_identified treatment": ("treatment", lambda v: is_identified(_CHAIN, v, "y")),
+    "proper_undirected_start_path treatment":
+        ("treatment", lambda v: proper_undirected_start_path(_CHAIN, v, "y")),
+    "estimate_total_effect treatment":
+        ("treatment", lambda v: estimate_total_effect(_CHAIN, v, "y", data=_CHAIN_DATA)),
+    "possible_descendants sources": ("sources", lambda v: possible_descendants(_CHAIN, v)),
+    "ancestors_in_subgraph removed": ("removed", lambda v: ancestors_in_subgraph(_CHAIN, "y", v)),
+    "SampleCovariance vertex_order": ("vertex_order", lambda v: SampleCovariance(np.eye(3), v)),
+    "sample_covariance vertex_order":
+        ("vertex_order", lambda v: sample_covariance(_CHAIN_DATA, v)),
+    "positions labels":
+        ("labels", lambda v: SampleCovariance(np.eye(3), _CHAIN.vertices).positions(v)),
+    "estimate_total_effect columns": ("columns", lambda v: estimate_total_effect(
+        _CHAIN, ("a",), "y", data=_CHAIN_DATA, columns=v)),
+    "bootstrap_ci columns": ("columns", lambda v: bootstrap_ci(_CHAIN_DATA, v, _CHAIN_PLAN)),
+    "adjustment_estimate columns":
+        ("columns", lambda v: adjustment_estimate(_CHAIN_DATA, v, ("a",), "y", ())),
+    "adjustment_estimate adjust": ("adjust", lambda v: adjustment_estimate(
+        _CHAIN_DATA, _CHAIN.vertices, ("a",), "y", v)),
+}
+_LABEL_RULE_CASES = {
+    f"{entry} {value!r}": (lambda call=call, value=value: call(value),
+                           f"{name} must be a sequence, got {value!r}")
+    for entry, (name, call) in _SEQUENCE_ARGUMENTS.items()
+    for value in (None, 3)
+    if value is not None or entry != "estimate_total_effect columns"  # None: the vertex order
+}
+_LABEL_RULE_CASES.update({
+    "bucket_of unknown":
+        (lambda: _CHAIN_PLAN.buckets.bucket_of("zz"), "unknown vertex label 'zz'"),
+    "bucket_of unhashable":
+        (lambda: _CHAIN_PLAN.buckets.bucket_of(["a"]), "unknown vertex label ['a']"),
+    "SampleCovariance unhashable":
+        (lambda: SampleCovariance(np.eye(3), ("a", ["m"], "y")), "unhashable vertex label ['m']"),
+    "positions unhashable": (lambda: SampleCovariance(np.eye(3), _CHAIN.vertices).positions(
+        [["a"]]), "unknown vertex label ['a']"),
+    "sample_covariance unhashable": (lambda: sample_covariance(_CHAIN_DATA, ("a", ["m"], "y")),
+                                     "unhashable vertex label ['m']"),
+    "estimate_total_effect columns unhashable": (lambda: estimate_total_effect(
+        _CHAIN, ("a",), "y", data=_CHAIN_DATA, columns=("a", ["m"], "y")),
+        "unhashable vertex label ['m']"),
+    "bootstrap_ci unhashable": (lambda: bootstrap_ci(_CHAIN_DATA, ("a", ["m"], "y"), _CHAIN_PLAN),
+                                "unhashable vertex label ['m']"),
+    "adjustment_estimate adjust unhashable": (lambda: adjustment_estimate(
+        _CHAIN_DATA, _CHAIN.vertices, ("a",), "y", [["m"]]), "unknown vertex label ['m']"),
+    "adjustment_estimate outcome unhashable": (lambda: adjustment_estimate(
+        _CHAIN_DATA, _CHAIN.vertices, ("a",), ["y"], ()), "unknown vertex label ['y']"),
+})
+
+
+@pytest.mark.parametrize("case", list(_LABEL_RULE_CASES))
+def test_every_label_argument_follows_one_rule(case):
+    """No sequence where labels or edges are expected, and a label that
+    cannot be hashed, raise GraphValidationError naming the fault, never a
+    raw TypeError or KeyError."""
+    call, message = _LABEL_RULE_CASES[case]
+    with pytest.raises(GraphValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_label_sequences_are_read_once(chain_sem):
+    """A generator of labels is read once, as a tuple of them is, and a
+    string is a sequence of one-character labels."""
+    g = chain_sem.graph
+    data = sample(chain_sem, 200, rng_from_seed(4))
+    plan = build_plan(g, ("a",), "y")
+    want = repr(sample_covariance(data, g.vertices))
+    assert repr(sample_covariance(data, iter(g.vertices))) == want
+    assert repr(sample_covariance(data, "amy")) == want
+    boot = repr(bootstrap_ci(data, g.vertices, plan, n_boot=20))
+    assert repr(bootstrap_ci(data, iter(g.vertices), plan, n_boot=20)) == boot
+    assert repr(bootstrap_ci(data, "amy", plan, n_boot=20)) == boot
+    est = estimate_total_effect(g, iter(("a",)), "y", data=data, columns=iter(g.vertices))
+    assert repr(est) == repr(estimate_total_effect(g, ("a",), "y", data=data))
+    adj = adjustment_estimate(data, iter(g.vertices), iter(("a",)), "y", iter(()))
+    assert repr(adj) == repr(adjustment_estimate(data, g.vertices, ("a",), "y", ()))
 
 
 def test_sample_covariance_center_subtracts_means():
@@ -292,7 +389,7 @@ def test_a_stack_with_one_failing_matrix_rejects_that_matrix_only():
     one gets the blocks of fitting it on its own; a replicate between
     COND_LIMIT / 2 and COND_LIMIT passes without the shared certificate."""
     dec = bucket_decomposition(_NESTED)
-    local = _label_index(_NESTED.vertices)
+    local = _label_map(_NESTED.vertices)
     conds = [1e3, 2.0 * COND_LIMIT, 0.75 * COND_LIMIT, 10.0]
     for stacked in (conds, conds[:1] + conds[2:], conds[:1] + conds[3:]):
         stack = np.array([_nested_cov(c, i) for i, c in enumerate(stacked)])

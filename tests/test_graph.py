@@ -774,13 +774,13 @@ _GRAPH_JSON = {"vertices": ["a", "b", "c"], "directed": [["b", "c"]], "undirecte
         (lambda d: {**d, "directed": ["bc"]}, "'directed' entries must be [u, v] pairs"),
         (lambda d: {**d, "undirected": [[1, "b"]]}, "'undirected' endpoints must be string labels"),
         (lambda d: {**d, "vertices": ["a", "b", "c", 1]}, "vertex labels must be strings"),
-        (lambda d: {**d, "vertices": ["a", "a", "b", "c"]}, "duplicate vertex labels"),
+        (lambda d: {**d, "vertices": ["a", "a", "b", "c"]}, "duplicate vertex label 'a'"),
         (lambda d: {**d, "directed": [["c", "c"]]}, "self loop at 'c'"),
         (lambda d: {**d, "undirected": [["a", "b"], ["b", "a"]]},
          "more than one edge between 'b' and 'a'"),
         # two faults: vertices are checked before edges, directed before undirected
         (lambda d: {**d, "vertices": ["a", "a", "b", "c"], "directed": [["b"]]},
-         "duplicate vertex labels"),
+         "duplicate vertex label 'a'"),
         (lambda d: {**d, "directed": [["b", "q"]], "undirected": [["a"]]},
          "unknown vertex label 'q'"),
     ],

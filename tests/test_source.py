@@ -97,6 +97,55 @@ def test_numeric_type_tests_live_in_errors_only():
     assert not found, f"numeric isinstance tests outside errors.py: {found}"
 
 
+# the texts of the label rule's refusals, which errors.py alone words;
+# _check_treatment's message for an unhashable treatment label names the set
+_LABEL_MESSAGES = ("unknown vertex label", "duplicate vertex label")
+_LABEL_MESSAGE_EXEMPT = "unknown vertex label in treatment"
+
+
+def _label_rule_copies(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, what)`` wherever a module words a label-rule refusal itself
+    (a string literal, or an f-string's text, starting with one of
+    :data:`_LABEL_MESSAGES`) or defines ``__missing__``, the hook of a dict
+    subclass that refuses lookups its own way."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.startswith(_LABEL_MESSAGES) \
+                and not node.value.startswith(_LABEL_MESSAGE_EXEMPT):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f.lineno, f"{node.name}.__missing__") for f in node.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "__missing__"]
+    return sorted(found)
+
+
+def test_label_rule_lives_in_errors_only():
+    """Vertex labels map to positions by ``errors._label_map``, and a
+    repeated or unknown label is refused in ``errors.py``'s words alone."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {what}" for line, what in _label_rule_copies(tree)]
+    assert not found, f"label-rule refusals outside errors.py: {found}"
+
+
+def test_label_rule_check_sees_each_kind_of_copy():
+    source = """
+class Index(dict):
+    def __missing__(self, label):
+        raise KeyError(label)
+def f(v, treatment):
+    raise ValueError(f"unknown vertex label {v!r}")
+    message = "duplicate vertex labels"
+    raise ValueError(f"unknown vertex label in treatment {treatment!r}")
+"""
+    assert _label_rule_copies(ast.parse(source)) == [
+        (3, "Index.__missing__"), (6, "'unknown vertex label '"), (7, "'duplicate vertex labels'")]
+
+
 # A graph's bucket decomposition is kept on it, which is sound only while no
 # graph changes after a public function has returned it: adjacency sets
 # change only while a graph is built, and the kept decomposition is set only
