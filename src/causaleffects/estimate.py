@@ -68,7 +68,7 @@ class SampleCovariance:
     ``n`` is the number of rows behind the estimate, an integer of at least
     1 (stored as a Python int); population covariances use ``n=None``.  The
     matrix must hold numbers, be symmetric (to 1e-12) and positive definite
-    (:class:`DegenerateSampleError`), and
+    (:class:`DegenerateSampleError`, as is a matrix of no vertices), and
     ``vertex_order`` must be a sequence of hashable labels without a repeat
     (:class:`GraphValidationError` for the labels and for ``n``);
     :meth:`positions` refuses a label outside it.
@@ -94,6 +94,8 @@ class SampleCovariance:
             raise DegenerateSampleError(
                 f"covariance shape {m.shape} does not match {p} vertices"
             )
+        if not p:
+            raise DegenerateSampleError("covariance matrix has no vertices")
         if not np.all(np.isfinite(m)):
             raise DegenerateSampleError("covariance contains non-finite values")
         if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
@@ -141,6 +143,15 @@ def _second_moment(x: np.ndarray, center: bool) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
+def _moments(data, columns: tuple, center: bool) -> tuple[np.ndarray, SampleCovariance]:
+    """The one data path: ``data`` checked by :func:`_data_matrix`, turned
+    into :func:`_second_moment` and accepted as a :class:`SampleCovariance`
+    over ``columns`` with ``n`` its rows.  Returns the checked rows, which a
+    bootstrap resamples, and the covariance."""
+    x = _data_matrix(data, columns)
+    return x, SampleCovariance(_second_moment(x, center), columns, n=len(x))
+
+
 def sample_covariance(
     data: np.ndarray, vertex_order: Sequence[str], center: bool = False
 ) -> SampleCovariance:
@@ -148,15 +159,13 @@ def sample_covariance(
 
     Data are taken as already mean-zero, matching the population
     convention; ``center=True`` subtracts column means first.  Requires
-    ``n > p``, numeric and finite values and one column per label
-    (:class:`DegenerateSampleError`), refuses a ``center`` that is not a
-    bool (:class:`GraphValidationError`), and refuses a repeated label as
-    :class:`SampleCovariance` does.
+    at least one column, ``n > p``, numeric and finite values and one
+    column per label (:class:`DegenerateSampleError`), refuses a ``center``
+    that is not a bool (:class:`GraphValidationError`), and refuses a
+    repeated label as :class:`SampleCovariance` does.
     """
     center = _flag(center, "center")
-    vertex_order = _sequence(vertex_order, "vertex_order")
-    x = _data_matrix(data, vertex_order)
-    return SampleCovariance(_second_moment(x, center), vertex_order, n=len(x))
+    return _moments(data, _sequence(vertex_order, "vertex_order"), center)[1]
 
 
 def _condition(a: np.ndarray) -> np.ndarray:
@@ -674,16 +683,20 @@ def bootstrap_ci(
     n_boot, level, seed = _check_bootstrap(n_boot, level, seed)
     center = _flag(center, "center")
     columns = _sequence(columns, "columns")
-    col = _label_map(columns)
-    _check_cover(col, plan.buckets.vertex_order, "data columns and plan")
-    x = _data_matrix(data, columns)
-    SampleCovariance(_second_moment(x, center), columns)  # refused as sample_covariance
-    n = x.shape[0]
+    _check_cover(_label_map(columns), plan.buckets.vertex_order, "data columns and plan")
+    return _resample(*_moments(data, columns, center), plan, n_boot, level, seed, center)
+
+
+def _resample(x, cov, plan, n_boot: int, level: float, seed: int, center: bool):
+    """The replicate loop of :func:`bootstrap_ci` for ``plan`` on the rows
+    ``x`` that :func:`_moments` checked and their :class:`SampleCovariance`
+    ``cov``, whose label map and ``n`` it reads; the arguments are checked
+    already."""
     labels = list(dict.fromkeys(
         v for k, pa in zip(plan.bucket_order, plan.parents_per_bucket)
         for v in pa + plan.buckets.buckets[k]
     ))
-    sub = np.array([col[v] for v in labels], dtype=int)
+    sub = np.array([cov._index[v] for v in labels], dtype=int)
     grid = np.ix_(sub, sub)
     local = _label_map(labels)
     y = plan.d_set.index(plan.outcome)
@@ -706,7 +719,7 @@ def bootstrap_ci(
         for r in range(need):
             state["state"]["counter"][2] = stream + r
             bitgen.state = state
-            idx = rng.integers(0, n, size=n)
+            idx = rng.integers(0, cov.n, size=cov.n)
             # the rows are checked data and s is symmetric by construction;
             # reject where SampleCovariance would
             s = _second_moment(x[idx], center)
@@ -735,7 +748,7 @@ def bootstrap_ci(
     alpha = 1.0 - level
     lower = np.quantile(taus, alpha / 2.0, axis=0)
     upper = np.quantile(taus, 1.0 - alpha / 2.0, axis=0)
-    boot_acov = n * np.cov(taus, rowvar=False).reshape(
+    boot_acov = cov.n * np.cov(taus, rowvar=False).reshape(
         len(plan.treatment), len(plan.treatment)
     )
     return lower, upper, boot_acov, rejected
@@ -764,6 +777,8 @@ def estimate_total_effect(
     first, as :func:`bootstrap_ci` checks them (``n_boot`` must be an
     integer, and ``level`` and ``seed`` are checked even when it is 0),
     then the query and its identification, all before the data are read.
+    The data are read, checked and factored once, with the messages of
+    :func:`sample_covariance`, and a bootstrap resamples those same rows.
     """
     if (data is None) == (cov is None):
         raise GraphValidationError("pass exactly one of data= or cov=")
@@ -782,7 +797,7 @@ def estimate_total_effect(
     plan = build_plan(graph, treatment, outcome)
     if data is not None:
         columns = _sequence(columns, "columns") if columns is not None else graph.vertices
-        cov = sample_covariance(data, columns, center=center)
+        x, cov = _moments(data, columns, center)
     model = g_regression(cov, plan)
     # one assembly serves tau (as effect_from_lambda reads it) and the gradients
     lam_ad, m = _assemble_effect(model, plan)
@@ -801,7 +816,7 @@ def estimate_total_effect(
     )
     if n_boot:
         est.ci_level = level
-        est.ci_lower, est.ci_upper, est.boot_acov, est.boot_rejected = bootstrap_ci(
-            data, columns, plan, n_boot=n_boot, level=level, seed=seed, center=center,
-        )
+        # the rows and covariance the estimate read: the data are not checked again
+        est.ci_lower, est.ci_upper, est.boot_acov, est.boot_rejected = _resample(
+            x, cov, plan, n_boot, level, seed, center)
     return est

@@ -333,21 +333,37 @@ def sem_from_dict(d: dict) -> LinearSem:
     """Build a SEM from the JSON structure of :func:`sem_to_dict`:
     ``{"graph": {...}, "coefficients": [[u, v, value], ...],
     "errors": [{"family": ..., "param": ...}, ...]}``.  A missing, unknown or
-    malformed field raises :class:`GraphValidationError` naming it."""
+    malformed field raises :class:`GraphValidationError` naming it, and so
+    does a second coefficient for one edge."""
     _check_fields(d, "SEM JSON", ("graph", "coefficients", "errors"))
     g = graph_from_dict(d["graph"])
     p = g.n_vertices
     gamma = np.zeros((p, p))
+    seen = set()
     try:
         for u, v, val in d["coefficients"]:
-            gamma[g.index(u), g.index(v)] = float(val)
+            i, j = g.index(u), g.index(v)
+            if (i, j) in seen:
+                raise GraphValidationError(f"more than one coefficient for {u!r} -> {v!r}")
+            seen.add((i, j))
+            gamma[i, j] = float(val)
     except (TypeError, ValueError):
         raise GraphValidationError("'coefficients' must be an array of [u, v, value]") from None
     try:
-        errors = tuple(ErrorSpec(e["family"], float(e["param"])) for e in d["errors"])
+        errors = tuple(_error_spec(e) for e in d["errors"])
     except (TypeError, ValueError, KeyError):
         raise GraphValidationError("'errors' must be an array of {family, param}") from None
     return LinearSem(g, gamma, errors)
+
+
+def _error_spec(e: dict) -> ErrorSpec:
+    """The :class:`ErrorSpec` of one SEM JSON error object; a field other
+    than ``family`` and ``param`` raises :class:`GraphValidationError`."""
+    spec = ErrorSpec(e["family"], float(e["param"]))
+    extras = set(e) - {"family", "param"}
+    if extras:
+        raise GraphValidationError(f"unknown SEM error fields: {sorted(extras, key=str)}")
+    return spec
 
 
 def save_sem(sem: LinearSem, path) -> None:

@@ -193,6 +193,8 @@ def test_sample_covariance_rejects_degenerate_inputs():
         sample_covariance(bad, ("x", "y"))
     with pytest.raises(DegenerateSampleError, match="^data must be a 2d array$"):
         sample_covariance(np.zeros(5), ["a"])
+    with pytest.raises(DegenerateSampleError, match="^covariance matrix has no vertices$"):
+        sample_covariance(np.zeros((5, 0)), ())
 
 
 def test_sample_covariance_matrix_validation():
@@ -204,6 +206,8 @@ def test_sample_covariance_matrix_validation():
         SampleCovariance(np.eye(3), ("x", "y"))
     with pytest.raises(DegenerateSampleError, match="^covariance contains non-finite values$"):
         SampleCovariance(np.full((2, 2), np.nan), ("x", "y"))
+    with pytest.raises(DegenerateSampleError, match="^covariance matrix has no vertices$"):
+        SampleCovariance(np.zeros((0, 0)), ())
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +700,7 @@ def _counting(monkeypatch, name):
 
 
 def test_estimate_refuses_a_query_before_reading_the_data(three_bucket_graph, monkeypatch):
-    calls = _counting(monkeypatch, "sample_covariance")
+    calls = _counting(monkeypatch, "_data_matrix")
     data = rng_from_seed(8).normal(size=(50, 6))
     with pytest.raises(NotIdentifiedError):
         estimate_total_effect(three_bucket_graph, ("3",), "5", data=data)
@@ -725,7 +729,7 @@ def test_estimate_refuses_a_query_before_reading_the_data(three_bucket_graph, mo
 def test_estimate_checks_bootstrap_arguments_before_fitting(chain_sem, monkeypatch,
                                                             kwargs, message):
     fits = _counting(monkeypatch, "g_regression")
-    moments = _counting(monkeypatch, "sample_covariance")
+    moments = _counting(monkeypatch, "_data_matrix")
     data = sample(chain_sem, 200, rng_from_seed(11))
     with pytest.raises(GraphValidationError, match=re.escape(message)):
         estimate_total_effect(chain_sem.graph, ("a",), "y", data=data, **kwargs)
@@ -974,7 +978,8 @@ def _counting_philox(monkeypatch) -> list:
 
 def test_bootstrap_refuses_bad_data_before_drawing(chain_sem, monkeypatch):
     """Data that sample_covariance refuses raise its own message before any
-    generator is made, not a count of rejected replicates."""
+    generator is made, not a count of rejected replicates, also in a
+    bootstrapped estimate."""
     g = chain_sem.graph
     plan = build_plan(g, ("a",), "y")
     data = sample(chain_sem, 200, rng_from_seed(13))
@@ -983,6 +988,10 @@ def test_bootstrap_refuses_bad_data_before_drawing(chain_sem, monkeypatch):
     collinear[:, 2] = 2.0 * collinear[:, 1] - collinear[:, 0]
     huge[5, 0] = 1e200  # X'X/n overflows, and numpy warns
     made = _counting_philox(monkeypatch)
+
+    def bootstrapped_estimate(bad, columns, center):
+        return estimate_total_effect(g, ("a",), "y", data=bad, columns=columns,
+                                     center=center, n_boot=40)
 
     def refusal(call, bad, center):
         kw = {"plan": plan, "n_boot": 40} if call is bootstrap_ci else {}
@@ -997,8 +1006,9 @@ def test_bootstrap_refuses_bad_data_before_drawing(chain_sem, monkeypatch):
                             (collinear, "covariance matrix is not positive definite"),
                             (huge, "covariance contains non-finite values")):
             with pytest.warns(RuntimeWarning, match="overflow") if bad is huge else nullcontext():
-                got, want = (refusal(call, bad, center) for call in (bootstrap_ci, sample_covariance))
-            assert got == want and reason in got
+                got, est, want = (refusal(call, bad, center) for call in
+                                  (bootstrap_ci, bootstrapped_estimate, sample_covariance))
+            assert got == est == want and reason in got
     assert made == []
 
 
@@ -1038,13 +1048,31 @@ def test_bootstrap_matches_per_replicate_loop(chain_sem, center):
 
 def test_bootstrap_forms_no_sample_covariance(chain_sem, monkeypatch):
     """Replicates form their moments directly from checked rows: a
-    bootstrapped estimate calls sample_covariance once, for its point
-    estimate."""
-    calls = _counting(monkeypatch, "sample_covariance")
+    bootstrapped estimate takes the one data path once, for its point
+    estimate, and builds one SampleCovariance."""
+    calls = _counting(monkeypatch, "_moments")
+    built = _counting(monkeypatch, "SampleCovariance")
     data = sample(chain_sem, 200, rng_from_seed(3))
     est = estimate_total_effect(chain_sem.graph, ("a",), "y", data=data, n_boot=30,
                                 center=True)
-    assert len(calls) == 1 and est.boot_rejected == 0
+    assert len(calls) == 1 and len(built) == 1 and est.boot_rejected == 0
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("n_boot", [2, 25])
+def test_estimate_reads_checks_and_factors_its_data_once(chain_sem, monkeypatch, center,
+                                                         n_boot):
+    """One factorization of X'X/n for the estimate and one per replicate:
+    the bootstrap resamples the rows the estimate checked."""
+    reads = _counting(monkeypatch, "_data_matrix")
+    moments = _counting(monkeypatch, "_second_moment")
+    factors, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a) or cholesky(a))
+    data = sample(chain_sem, 200, rng_from_seed(3))
+    est = estimate_total_effect(chain_sem.graph, ("a",), "y", data=data, n_boot=n_boot,
+                                center=center)
+    assert est.boot_rejected == 0
+    assert (len(reads), len(moments), len(factors)) == (1, 1 + n_boot, 1 + n_boot)
 
 
 @pytest.mark.parametrize("floor", [0.0, 1e-7])

@@ -394,12 +394,16 @@ def _sem_dict():
         (lambda d: {**d, "coefficients": [["a", "q", 1.0]]}, "unknown vertex label 'q'"),
         (lambda d: {**d, "coefficients": [[["a"], "b", 1.0]]}, r"unknown vertex label \['a'\]"),
         (lambda d: {**d, "extra": 1}, r"^unknown SEM JSON fields: \['extra'\]$"),
+        (lambda d: {**d, "coefficients": [["a", "b", 1.0], ["a", "b", 2.0]]},
+         "^more than one coefficient for 'a' -> 'b'$"),
         (lambda d: {**d, "coefficients": [["b", "a", 1.0]]}, "off the edge set"),
         (lambda d: {**d, "coefficients": [["a", "b", "inf"]]}, "gamma contains non-finite"),
         (lambda d: {**d, "errors": None}, "'errors' must be an array"),
         (lambda d: {**d, "errors": [{"family": "gaussian"}] * 2}, "'errors' must be an array"),
         (lambda d: {**d, "errors": ["gaussian", "uniform"]}, "'errors' must be an array"),
         (lambda d: {**d, "errors": d["errors"][:1]}, "one error spec per vertex"),
+        (lambda d: {**d, "errors": [{"family": "gaussian", "param": 1.0, "scale": 2}] * 2},
+         r"^unknown SEM error fields: \['scale'\]$"),
         (lambda d: {**d, "errors": [{"family": "gaussian", "param": "inf"}] * 2},
          "param must be a finite number, got inf"),
         (lambda d: {**d, "errors": [{"family": "mixed", "param": 1.0}] * 2},

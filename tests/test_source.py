@@ -146,6 +146,53 @@ def f(v, treatment):
         (3, "Index.__missing__"), (6, "'unknown vertex label '"), (7, "'duplicate vertex labels'")]
 
 
+# what reads data or accepts their moments, which estimate._moments alone calls
+_DATA_PATH = {"_data_matrix", "SampleCovariance"}
+
+
+def _data_path_copies(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` for every call of :data:`_DATA_PATH`, by name or as
+    an attribute, outside a function named ``_moments``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_moments":
+            return
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in _DATA_PATH:
+                found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(found)
+
+
+def test_estimate_reads_data_on_one_path():
+    """In ``estimate.py`` data are checked, and their full-data covariance
+    accepted, in ``_moments`` alone, so an estimate cannot check its data a
+    second time unnoticed."""
+    path = PACKAGE_DIR / "estimate.py"
+    found = _data_path_copies(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not found, f"data read or accepted outside estimate._moments: {found}"
+
+
+def test_data_path_check_sees_each_kind_of_copy():
+    source = """
+def _moments(data, columns):
+    x = _data_matrix(data, columns)
+    return x, SampleCovariance(x.T @ x, columns)
+def bootstrap(data, columns):
+    x = estimate._data_matrix(data, columns)
+    cov = SampleCovariance(x.T @ x, columns)
+    def _moments_again(x):
+        return SampleCovariance(x, columns)
+"""
+    assert _data_path_copies(ast.parse(source)) == [
+        (6, "_data_matrix"), (7, "SampleCovariance"), (9, "SampleCovariance")]
+
+
 # A graph's bucket decomposition is kept on it, which is sound only while no
 # graph changes after a public function has returned it: adjacency sets
 # change only while a graph is built, and the kept decomposition is set only
