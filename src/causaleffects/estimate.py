@@ -71,7 +71,8 @@ class SampleCovariance:
     (:class:`DegenerateSampleError`, as is a matrix of no vertices), and
     ``vertex_order`` must be a sequence of hashable labels without a repeat
     (:class:`GraphValidationError` for the labels and for ``n``);
-    :meth:`positions` refuses a label outside it.
+    :meth:`positions` refuses a label outside it.  ``matrix`` is kept as a
+    read-only copy.
     """
 
     matrix: np.ndarray
@@ -85,7 +86,9 @@ class SampleCovariance:
             if n < 1:
                 raise GraphValidationError(f"n must be at least 1, got {n}")
             object.__setattr__(self, "n", n)
-        m = _float_array(self.matrix, "covariance matrix", DegenerateSampleError)
+        # a read-only copy: the caller's array could change after the checks
+        m = _float_array(self.matrix, "covariance matrix", DegenerateSampleError).copy(order="K")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "vertex_order", _sequence(self.vertex_order, "vertex_order"))
         object.__setattr__(self, "_index", _label_map(self.vertex_order))
@@ -375,24 +378,27 @@ def _block_entries(plan: IdentificationPlan):
                 yield b, i, j, row[u], d
 
 
-def _effect_matrices(plan: IdentificationPlan, blocks):
-    """Lambda_{A,D} and (I - Lambda_{D,D})^{-1} from the coefficient blocks
-    of the plan's buckets (aligned with ``plan.bucket_order``).  Blocks may
-    carry leading stack axes; the matrices then carry the same ones."""
+def _effect(plan: IdentificationPlan, blocks):
+    """The one assembly of the effect from the coefficient blocks of the
+    plan's buckets (aligned with ``plan.bucket_order``): returns ``(tau,
+    lam_ad, m)`` with Lambda_{A,D}, m = (I - Lambda_{D,D})^{-1} and tau =
+    Lambda_{A,D} m[:, Y].  Blocks may carry leading stack axes; the results
+    then carry the same ones."""
     n_a = len(plan.treatment)
     lam = np.zeros(blocks[0].shape[:-2] + (n_a + len(plan.d_set), len(plan.d_set)))
     for b, i, j, r, d in _block_entries(plan):
         lam[..., r, d] = blocks[b][..., i, j]
-    lam_dd = lam[..., n_a:, :]
+    lam_ad, lam_dd = lam[..., :n_a, :], lam[..., n_a:, :]
     eye = np.eye(len(plan.d_set))
     # the right-hand side carries the stack axes too: numpy < 2 would read a
     # 2-d one beside a 3-d left-hand side as a stack of vectors
     m = np.linalg.solve(eye - lam_dd, np.broadcast_to(eye, lam_dd.shape))
-    return lam[..., :n_a, :], m
+    y = plan.d_set.index(plan.outcome)
+    return (lam_ad @ m[..., y, None])[..., 0], lam_ad, m
 
 
 def _assemble_effect(model: BlockRecursiveModel, plan: IdentificationPlan):
-    """:func:`_effect_matrices` of a model, which must hold the plan's blocks."""
+    """:func:`_effect` of a model, which must hold the plan's blocks."""
     if model.buckets != plan.buckets:
         raise GraphValidationError(
             "model and plan were built from different bucket decompositions"
@@ -400,7 +406,7 @@ def _assemble_effect(model: BlockRecursiveModel, plan: IdentificationPlan):
     blocks = [model.lambda_blocks[k] for k in plan.bucket_order]
     if any(lam is None for lam in blocks):
         raise GraphValidationError("model does not hold every bucket of the plan")
-    return _effect_matrices(plan, blocks)
+    return _effect(plan, blocks)
 
 
 def effect_from_lambda(model: BlockRecursiveModel, plan: IdentificationPlan) -> np.ndarray:
@@ -408,8 +414,7 @@ def effect_from_lambda(model: BlockRecursiveModel, plan: IdentificationPlan) -> 
     treatment coordinate.  Coefficients without a corresponding directed
     edge are zero by construction, so an outcome outside the possible
     descendants of the treatment yields exactly zero."""
-    lam_ad, m = _assemble_effect(model, plan)
-    return lam_ad @ m[:, plan.d_set.index(plan.outcome)]
+    return _assemble_effect(model, plan)[0]
 
 
 def effect_gradients(
@@ -425,11 +430,11 @@ def effect_gradients(
     D are zero.  Buckets that do not meet D are omitted (all-zero
     gradient).
     """
-    return _gradients(plan, *_assemble_effect(model, plan))
+    return _gradients(plan, *_assemble_effect(model, plan)[1:])
 
 
 def _gradients(plan: IdentificationPlan, lam_ad: np.ndarray, m: np.ndarray) -> dict:
-    """:func:`effect_gradients` from the matrices of :func:`_effect_matrices`."""
+    """:func:`effect_gradients` from the matrices of :func:`_effect`."""
     n_a = len(plan.treatment)
     # c_i by row of (A, D): the treatment indicators, then R
     c_row = np.hstack([np.eye(n_a), lam_ad @ m])
@@ -699,7 +704,6 @@ def _resample(x, cov, plan, n_boot: int, level: float, seed: int, center: bool):
     sub = np.array([cov._index[v] for v in labels], dtype=int)
     grid = np.ix_(sub, sub)
     local = _label_map(labels)
-    y = plan.d_set.index(plan.outcome)
     taus = np.empty((n_boot, len(plan.treatment)))
     got = 0
     rejected = 0
@@ -733,8 +737,7 @@ def _resample(x, cov, plan, n_boot: int, level: float, seed: int, center: bool):
             kept[r] = True
         stream += need
         lambdas, _, ok = _fit_stack(stack[kept], plan.buckets, plan.bucket_order, local, False)
-        lam_ad, m = _effect_matrices(plan, [lambdas[k][ok] for k in plan.bucket_order])
-        boot = (lam_ad @ m[:, :, y, None])[:, :, 0]
+        boot = _effect(plan, [lambdas[k][ok] for k in plan.bucket_order])[0]
         taus[got:got + len(boot)] = boot
         got += len(boot)
         # a batch with a rejection leaves replicates to draw, so only the
@@ -799,9 +802,8 @@ def estimate_total_effect(
         columns = _sequence(columns, "columns") if columns is not None else graph.vertices
         x, cov = _moments(data, columns, center)
     model = g_regression(cov, plan)
-    # one assembly serves tau (as effect_from_lambda reads it) and the gradients
-    lam_ad, m = _assemble_effect(model, plan)
-    tau = lam_ad @ m[:, plan.d_set.index(plan.outcome)]
+    # one assembly serves tau and the gradients
+    tau, lam_ad, m = _assemble_effect(model, plan)
     # the fit accepted every plan bucket's parent covariance: no second test
     acov = _sandwich(_gradients(plan, lam_ad, m), model.omega_blocks, plan, cov,
                      len(plan.treatment), tested=True)

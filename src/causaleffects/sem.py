@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (GraphValidationError, _check_fields, _check_seed, _finite, _flag,
-                     _float_array, _integer)
+                     _float_array, _integer, _sequence)
 from .graph import Pdag, _check_query, graph_from_dict, graph_to_dict
 from .identify import build_plan
-from .estimate import BlockRecursiveModel, effect_from_lambda
+from .estimate import _effect
 
 __all__ = [
     "ERROR_FAMILIES",
@@ -99,7 +99,8 @@ class LinearSem:
     """A DAG plus edge coefficients and per-vertex error specs.
 
     ``gamma`` must be a finite p x p matrix of numbers that is zero off
-    the DAG's edges, and ``errors`` one :class:`ErrorSpec` per vertex, else
+    the DAG's edges, kept as a read-only copy, and ``errors`` a sequence of
+    one :class:`ErrorSpec` per vertex, kept as a tuple, else
     :class:`GraphValidationError`."""
 
     graph: Pdag
@@ -109,8 +110,11 @@ class LinearSem:
     def __post_init__(self):
         if not self.graph.is_dag:
             raise GraphValidationError("a linear SEM needs a DAG, not a partial graph")
-        g = _float_array(self.gamma, "gamma", GraphValidationError)
+        # a read-only copy: the caller's array could change after the checks
+        g = _float_array(self.gamma, "gamma", GraphValidationError).copy(order="K")
+        g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "errors", _sequence(self.errors, "errors"))
         p = self.graph.n_vertices
         if g.shape != (p, p):
             raise GraphValidationError(f"gamma must be {p}x{p}, got {g.shape}")
@@ -300,16 +304,13 @@ def true_effect_blockform(
 ) -> np.ndarray:
     """Ground truth through the identification/effect machinery evaluated at
     the population coefficients.  A DAG's buckets are singletons, so the
-    coefficient blocks are just columns of gamma."""
+    coefficient blocks are just columns of gamma, read in the plan's bucket
+    order (which fixes the last bits of the result)."""
     g = sem.graph
     plan = build_plan(g, treatment, outcome)
-    dec = plan.buckets
-    lambdas = [None] * len(dec)  # the effect reads the plan's blocks only
-    for k, pa in zip(plan.bucket_order, plan.parents_per_bucket):
-        (v,) = dec.buckets[k]
-        lambdas[k] = sem.gamma[[g.index(u) for u in pa], g.index(v)].reshape(len(pa), 1)
-    model = BlockRecursiveModel(dec, tuple(lambdas), (None,) * len(dec))
-    return effect_from_lambda(model, plan)
+    blocks = [sem.gamma[[g.index(u) for u in pa], g.index(v)].reshape(len(pa), 1)
+              for (v,), pa in zip(plan.d_buckets, plan.parents_per_bucket)]
+    return _effect(plan, blocks)[0]
 
 
 # -- serialization -------------------------------------------------------------
@@ -334,7 +335,8 @@ def sem_from_dict(d: dict) -> LinearSem:
     ``{"graph": {...}, "coefficients": [[u, v, value], ...],
     "errors": [{"family": ..., "param": ...}, ...]}``.  A missing, unknown or
     malformed field raises :class:`GraphValidationError` naming it, and so
-    does a second coefficient for one edge."""
+    do a second coefficient for one edge and a coefficient or ``param`` that
+    is not a finite number (a string or a bool is none)."""
     _check_fields(d, "SEM JSON", ("graph", "coefficients", "errors"))
     g = graph_from_dict(d["graph"])
     p = g.n_vertices
@@ -346,12 +348,12 @@ def sem_from_dict(d: dict) -> LinearSem:
             if (i, j) in seen:
                 raise GraphValidationError(f"more than one coefficient for {u!r} -> {v!r}")
             seen.add((i, j))
-            gamma[i, j] = float(val)
+            gamma[i, j] = _finite(val, f"coefficient {u!r} -> {v!r}")
     except (TypeError, ValueError):
         raise GraphValidationError("'coefficients' must be an array of [u, v, value]") from None
     try:
         errors = tuple(_error_spec(e) for e in d["errors"])
-    except (TypeError, ValueError, KeyError):
+    except (TypeError, KeyError):
         raise GraphValidationError("'errors' must be an array of {family, param}") from None
     return LinearSem(g, gamma, errors)
 
@@ -359,7 +361,7 @@ def sem_from_dict(d: dict) -> LinearSem:
 def _error_spec(e: dict) -> ErrorSpec:
     """The :class:`ErrorSpec` of one SEM JSON error object; a field other
     than ``family`` and ``param`` raises :class:`GraphValidationError`."""
-    spec = ErrorSpec(e["family"], float(e["param"]))
+    spec = ErrorSpec(e["family"], e["param"])
     extras = set(e) - {"family", "param"}
     if extras:
         raise GraphValidationError(f"unknown SEM error fields: {sorted(extras, key=str)}")

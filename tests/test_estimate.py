@@ -210,6 +210,17 @@ def test_sample_covariance_matrix_validation():
         SampleCovariance(np.zeros((0, 0)), ())
 
 
+def test_sample_covariance_keeps_a_read_only_copy():
+    """The matrix that passed the checks is the one kept: a later write to
+    the caller's array does not reach it, and it cannot be written."""
+    m = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = SampleCovariance(m, ("a", "b"), n=10)
+    m[0, 0] = -5.0
+    assert c.matrix.tolist() == [[2.0, 0.5], [0.5, 1.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        c.matrix[0, 0] = -5.0
+
+
 # ---------------------------------------------------------------------------
 # bucketed regression
 
@@ -1092,19 +1103,27 @@ def test_bootstrap_redraws_match_per_replicate_loop(floor, center):
     assert 0 < rejected <= 11
 
 
+def _pinned_joint_query():
+    """``(mpdag, treatment, outcome, data)``: the first identified query with
+    two treatments from a fixed stream, with 200 rows of a random SEM on a
+    DAG the MPDAG represents; the pinned joint bootstrap and estimates read
+    it."""
+    rng = rng_from_seed(47)
+    while True:
+        mpdag, dag = random_mpdag(rng, 8)
+        a0, a1, y = (dag.vertices[int(k)] for k in rng.choice(8, size=3, replace=False))
+        if is_identified(mpdag, (a0, a1), y):
+            return mpdag, (a0, a1), y, sample(random_sem(dag, rng), 200, rng)
+
+
 def _pinned_bootstrap_calls(chain_sem):
     """The bootstrap_ci arguments whose results _PINNED_BOOTSTRAP records."""
     g = chain_sem.graph
     chain = dict(data=sample(chain_sem, 300, rng_from_seed(3)), columns=g.vertices,
                  plan=build_plan(g, ("a",), "y"), n_boot=40, level=0.9, seed=5)
-    rng = rng_from_seed(47)
-    while True:  # the first identified query with two treatments
-        mpdag, dag = random_mpdag(rng, 8)
-        a0, a1, y = (dag.vertices[int(k)] for k in rng.choice(8, size=3, replace=False))
-        if is_identified(mpdag, (a0, a1), y):
-            break
-    joint = dict(data=sample(random_sem(dag, rng), 200, rng), columns=dag.vertices,
-                 plan=build_plan(mpdag, (a0, a1), y), n_boot=40, seed=6)
+    mpdag, treatment, y, data = _pinned_joint_query()
+    joint = dict(data=data, columns=mpdag.vertices,
+                 plan=build_plan(mpdag, treatment, y), n_boot=40, seed=6)
     # z2 is zero outside 3 of the 50 rows: 6 rejections, redrawn in later batches
     z = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
     x = rng_from_seed(17).standard_normal((50, 3))
@@ -1141,6 +1160,30 @@ def test_bootstrap_draws_are_pinned_bit_for_bit(chain_sem):
         lower, upper, acov, rejected = bootstrap_ci(**kw)
         got = repr((lower.tolist(), upper.tolist(), acov.tolist(), rejected))
         assert got == _PINNED_BOOTSTRAP[name], name
+
+
+# repr of (tau, acov) as Python floats, recorded before tau had one assembly
+_PINNED_ESTIMATES = {
+    "chain": "([5.9009582428949185], [[9.892561128333302]])",
+    "chain_center": "([5.901507340057874], [[9.899199295464413]])",
+    "joint": "([0.0904443895092481, -1.556546188590824], "
+             "[[0.4277801257193339, 0.08594079013813208], "
+             "[0.08594079013813208, 1.3342242607073682]])",
+    "joint_center": "([0.09005273797664087, -1.5537634422376068], "
+                    "[[0.4227107296593189, 0.08470250250241992], "
+                    "[0.08470250250241992, 1.3174367781127583]])",
+}
+
+
+def test_point_estimates_are_pinned_bit_for_bit(chain_sem):
+    g = chain_sem.graph
+    queries = {"chain": (g, ("a",), "y", sample(chain_sem, 300, rng_from_seed(3))),
+               "joint": _pinned_joint_query()}
+    for name, (graph, treatment, y, data) in queries.items():
+        for center in (False, True):
+            est = estimate_total_effect(graph, treatment, y, data=data, center=center)
+            key = name + ("_center" if center else "")
+            assert repr((est.tau.tolist(), est.acov.tolist())) == _PINNED_ESTIMATES[key], key
 
 
 def test_centred_results_do_not_depend_on_the_data_layout(chain_sem):

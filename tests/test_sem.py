@@ -91,6 +91,24 @@ def test_linear_sem_validates_support(chain_sem):
         LinearSem(two, chain_sem.gamma, chain_sem.errors[:2])
 
 
+def test_linear_sem_keeps_a_read_only_gamma(chain_sem):
+    """The coefficients that passed the edge-set check are the ones kept."""
+    gamma = chain_sem.gamma.copy()
+    sem = LinearSem(chain_sem.graph, gamma, chain_sem.errors)
+    gamma[1, 0] = 3.0  # m -> a is not an edge
+    assert sem.gamma[1, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        sem.gamma[1, 0] = 3.0
+
+
+def test_linear_sem_reads_errors_as_a_sequence(chain_sem):
+    g, gamma = chain_sem.graph, chain_sem.gamma
+    assert LinearSem(g, gamma, (e for e in chain_sem.errors)).errors == chain_sem.errors
+    assert LinearSem(g, gamma, list(chain_sem.errors)).errors == chain_sem.errors
+    with pytest.raises(GraphValidationError, match="^errors must be a sequence, got None$"):
+        LinearSem(g, gamma, None)
+
+
 def _gamma_with(sem, value):
     gamma = sem.gamma.astype(object)
     gamma[0, 1] = value  # the edge a -> m
@@ -390,14 +408,22 @@ def _sem_dict():
         (lambda d: {**d, "graph": None}, "graph JSON must be an object"),
         (lambda d: {**d, "coefficients": 5}, "'coefficients' must be an array"),
         (lambda d: {**d, "coefficients": [["a", "b"]]}, "'coefficients' must be an array"),
-        (lambda d: {**d, "coefficients": [["a", "b", "x"]]}, "'coefficients' must be an array"),
+        (lambda d: {**d, "coefficients": [["a", "b", "x"]]},
+         r"^coefficient 'a' -> 'b' must be a finite number, got 'x'$"),
+        (lambda d: {**d, "coefficients": [["a", "b", "0.5"]]},
+         r"^coefficient 'a' -> 'b' must be a finite number, got '0.5'$"),
+        (lambda d: {**d, "coefficients": [["a", "b", True]]},
+         r"^coefficient 'a' -> 'b' must be a finite number, got True$"),
         (lambda d: {**d, "coefficients": [["a", "q", 1.0]]}, "unknown vertex label 'q'"),
         (lambda d: {**d, "coefficients": [[["a"], "b", 1.0]]}, r"unknown vertex label \['a'\]"),
         (lambda d: {**d, "extra": 1}, r"^unknown SEM JSON fields: \['extra'\]$"),
         (lambda d: {**d, "coefficients": [["a", "b", 1.0], ["a", "b", 2.0]]},
          "^more than one coefficient for 'a' -> 'b'$"),
         (lambda d: {**d, "coefficients": [["b", "a", 1.0]]}, "off the edge set"),
-        (lambda d: {**d, "coefficients": [["a", "b", "inf"]]}, "gamma contains non-finite"),
+        (lambda d: {**d, "coefficients": [["a", "b", "inf"]]},
+         "coefficient 'a' -> 'b' must be a finite number, got 'inf'"),
+        (lambda d: {**d, "coefficients": [["a", "b", float("inf")]]},
+         "coefficient 'a' -> 'b' must be a finite number, got inf"),
         (lambda d: {**d, "errors": None}, "'errors' must be an array"),
         (lambda d: {**d, "errors": [{"family": "gaussian"}] * 2}, "'errors' must be an array"),
         (lambda d: {**d, "errors": ["gaussian", "uniform"]}, "'errors' must be an array"),
@@ -405,7 +431,11 @@ def _sem_dict():
         (lambda d: {**d, "errors": [{"family": "gaussian", "param": 1.0, "scale": 2}] * 2},
          r"^unknown SEM error fields: \['scale'\]$"),
         (lambda d: {**d, "errors": [{"family": "gaussian", "param": "inf"}] * 2},
-         "param must be a finite number, got inf"),
+         "^param must be a finite number, got 'inf'$"),
+        (lambda d: {**d, "errors": [{"family": "gaussian", "param": " 2 "}] * 2},
+         "^param must be a finite number, got ' 2 '$"),
+        (lambda d: {**d, "errors": [{"family": "gaussian", "param": True}] * 2},
+         "^param must be a finite number, got True$"),
         (lambda d: {**d, "errors": [{"family": "mixed", "param": 1.0}] * 2},
          "unknown error family 'mixed'"),
     ],

@@ -73,6 +73,31 @@ def test_run_simulation_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+_PINNED_FIELDS = ("treatment", "outcome", "tau_true_sqnorm", "sq_err_g_regression",
+                  "sq_err_adjustment", "adj_pop_avar_ratio")
+# repr of (each record's _PINNED_FIELDS, None where absent, and the summary),
+# recorded before the truth and the estimate were read through one assembly
+_PINNED_SIMULATIONS = {
+    1: "([('4', '2', 0.908171482171462, 0.01575686460389256, 3.667948000340784e-05, "
+       "2.4969592151593245), ('3', '5', 0.14213390168769557, 0.002188886374834298, "
+       "0.5501121519230112, 54.52737510554379)], {'g_regression': {'n_reps': 2, "
+       "'geometric_mean_rel_sq_err': 1.0, 'median_rel_sq_err': 1.0}, 'adjustment': "
+       "{'n_reps': 2, 'geometric_mean_rel_sq_err': 0.7648754008416042, "
+       "'median_rel_sq_err': 125.66144447418732}})",
+    2: "([('5;6', '4', 0.34546952779724915, 0.01260555259543441, None, None), "
+       "('2;3', '4', 1.9273981959573205, 0.006921813440304782, None, None)], "
+       "{'g_regression': {'n_reps': 2, 'geometric_mean_rel_sq_err': 1.0, "
+       "'median_rel_sq_err': 1.0}, 'adjustment': None})",
+}
+
+
+@pytest.mark.parametrize("treat_size", [1, 2])
+def test_simulation_is_pinned_bit_for_bit(treat_size):
+    rep = run_simulation(n_vertices=6, treat_size=treat_size, n=150, reps=2, seed=11)
+    got = [tuple(r.get(k) for k in _PINNED_FIELDS) for r in rep.records]
+    assert repr((got, rep.summary)) == _PINNED_SIMULATIONS[treat_size]
+
+
 def test_simulation_report_shape():
     rep = run_simulation(n_vertices=5, treat_size=1, n=150, reps=6, seed=3)
     assert [r["rep"] for r in rep.records] == list(range(6))

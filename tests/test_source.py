@@ -150,17 +150,18 @@ def f(v, treatment):
 _DATA_PATH = {"_data_matrix", "SampleCovariance"}
 
 
-def _data_path_copies(tree: ast.Module) -> list[tuple[int, str]]:
-    """``(line, name)`` for every call of :data:`_DATA_PATH`, by name or as
-    an attribute, outside a function named ``_moments``."""
+def _calls_outside(tree: ast.Module, names: set, home: str | None) -> list[tuple[int, str]]:
+    """``(line, name)`` for every call of one of ``names``, by name or as an
+    attribute, outside a function named ``home`` (everywhere when ``home``
+    is None)."""
     found = []
 
     def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_moments":
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == home:
             return
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in _DATA_PATH:
+            if name in names:
                 found.append((node.lineno, name))
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -174,7 +175,8 @@ def test_estimate_reads_data_on_one_path():
     accepted, in ``_moments`` alone, so an estimate cannot check its data a
     second time unnoticed."""
     path = PACKAGE_DIR / "estimate.py"
-    found = _data_path_copies(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _calls_outside(tree, _DATA_PATH, "_moments")
     assert not found, f"data read or accepted outside estimate._moments: {found}"
 
 
@@ -189,8 +191,42 @@ def bootstrap(data, columns):
     def _moments_again(x):
         return SampleCovariance(x, columns)
 """
-    assert _data_path_copies(ast.parse(source)) == [
+    assert _calls_outside(ast.parse(source), _DATA_PATH, "_moments") == [
         (6, "_data_matrix"), (7, "SampleCovariance"), (9, "SampleCovariance")]
+
+
+def _model_constructions(path: Path) -> list[tuple[int, str]]:
+    """Where the module at ``path`` builds a ``BlockRecursiveModel``, apart
+    from ``estimate._block_regression``: a model holds ``None`` for the
+    buckets it did not fit, a storage convention ``estimate.py`` keeps to
+    itself, and the effect is read from bare blocks by ``estimate._effect``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    home = "_block_regression" if path.name == "estimate.py" else None
+    return _calls_outside(tree, {"BlockRecursiveModel"}, home)
+
+
+def test_block_models_are_built_in_one_place():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found += [f"{path.name}:{line}" for line, _ in _model_constructions(path)]
+    assert not found, f"BlockRecursiveModel built outside estimate._block_regression: {found}"
+
+
+def test_model_construction_check_sees_each_kind_of_copy(tmp_path):
+    source = """
+def _block_regression(cov, buckets, fitted):
+    return BlockRecursiveModel(buckets, lambdas, omegas)
+def true_effect(plan, blocks):
+    model = estimate.BlockRecursiveModel(plan.buckets, blocks, (None,) * len(blocks))
+    def _block_regression_again():
+        return BlockRecursiveModel(plan.buckets, blocks, blocks)
+"""
+    for name, found in (("estimate.py", [(5, "BlockRecursiveModel"), (7, "BlockRecursiveModel")]),
+                        ("sem.py", [(3, "BlockRecursiveModel"), (5, "BlockRecursiveModel"),
+                                    (7, "BlockRecursiveModel")])):
+        path = tmp_path / name
+        path.write_text(source, encoding="utf-8")
+        assert _model_constructions(path) == found, name
 
 
 # A graph's bucket decomposition is kept on it, which is sound only while no
