@@ -6,6 +6,15 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "CausalEffectsError",
+    "DegenerateSampleError",
+    "GraphValidationError",
+    "IllConditionedError",
+    "InconsistentKnowledgeError",
+    "NotIdentifiedError",
+]
+
 
 class CausalEffectsError(Exception):
     """Base class for all package-specific errors."""

@@ -211,6 +211,21 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return x[0].reshape(b.shape)
 
 
+def _vouched(stack: np.ndarray, parent_sets, local: dict) -> bool:
+    """Whether one test of the union of ``parent_sets`` finds every matrix
+    of ``stack`` (B, c, c) positive definite with condition number at most
+    ``COND_LIMIT / 2``; ``local`` maps a label to its column.  By Cauchy
+    interlacing a principal submatrix is no worse conditioned than the
+    whole matrix, so each parent set would then pass its own test: the
+    margin lies far above the rounding of ``eigvalsh``.  An empty union
+    has nothing to solve and is vouched for untested."""
+    union = sorted({local[v] for pa in parent_sets for v in pa})
+    if not union:
+        return True
+    ui = np.array(union)
+    return bool(np.all(_condition(stack[:, ui[:, None], ui]) <= COND_LIMIT / 2))
+
+
 @dataclass(frozen=True)
 class BlockRecursiveModel:
     """Per-bucket regression blocks (Lambda_k, Omega_k).
@@ -243,27 +258,17 @@ def _fit_stack(
     second-moment matrix of ``stack`` (B, c, c); ``local`` maps a label to
     its column.
 
-    Each bucket's test and solve run once on the whole stack through
-    :func:`_solve_spd_stack`.  By Cauchy interlacing a principal submatrix
-    is no worse conditioned than the whole matrix, so one test of the
-    widest fitted parent set comes first: when every matrix of the stack
-    passes it with condition number at most ``COND_LIMIT / 2`` (a margin
-    far above the rounding of ``eigvalsh``), the buckets whose parents lie
-    inside it are solved untested, as their own tests would pass.
-    Otherwise every bucket is tested in turn.  Returns ``(lambdas, omegas,
+    Each bucket's solve runs once on the whole stack.  When
+    :func:`_vouched` accepts the union of the fitted parent sets, every
+    bucket is solved untested; otherwise each bucket is tested in turn
+    through :func:`_solve_spd_stack`.  Returns ``(lambdas, omegas,
     ok)``: the blocks, with the stack axis, keyed by fitted bucket index,
     and whether every fitted bucket accepted each matrix.  ``strict``
     raises :class:`IllConditionedError` for the first bucket refusing any
     matrix.
     """
     parents, members = buckets.external_parents, buckets.buckets
-    vouched = set()
-    widest = max(fitted, key=lambda k: len(parents[k]), default=None)
-    if widest is not None and parents[widest]:
-        wi = np.array([local[u] for u in parents[widest]], dtype=int)
-        if np.all(_condition(stack[:, wi[:, None], wi]) <= COND_LIMIT / 2):
-            inside = set(parents[widest])
-            vouched = {k for k in fitted if inside.issuperset(parents[k])}
+    vouched = _vouched(stack, [parents[k] for k in fitted], local)
     lambdas, omegas = {}, {}
     ok = np.ones(len(stack), dtype=bool)
     for k in fitted:
@@ -278,7 +283,7 @@ def _fit_stack(
         # contiguous copies: solve and @ may round a strided operand otherwise
         spp = np.ascontiguousarray(block[:, :q, :q])
         spb = np.ascontiguousarray(block[:, :q, q:])
-        if k in vouched:
+        if vouched:
             lam = np.linalg.solve(spp, spb)
         else:
             what = f"regression of bucket {bucket} on {pa}" if strict else None
@@ -449,21 +454,23 @@ def _gradients(plan: IdentificationPlan, lam_ad: np.ndarray, m: np.ndarray) -> d
 
 
 def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovariance,
-             size: int, tested: bool = False) -> np.ndarray:
+             size: int) -> np.ndarray:
     """The Kronecker quadratic form of :func:`delta_method_acov`, symmetrized,
     for gradient blocks ``grads[k]`` of shape (size, |Pa(B_k)|, |B_k|) and
-    residual blocks ``omegas[k]``.  ``tested`` says that the g-regression
-    of ``cov`` for ``plan`` has accepted every parent covariance, so they
-    are solved without a second test."""
+    residual blocks ``omegas[k]``.  The parent covariances are solved
+    untested when :func:`_vouched` accepts their union, and each through
+    :func:`_solve_spd` otherwise."""
+    parents = plan.buckets.external_parents
+    vouched = _vouched(cov.matrix[None], [parents[k] for k in grads], cov._index)
     out = np.zeros((size, size))
     for k, h in grads.items():
-        pa = plan.buckets.external_parents[k]
+        pa = parents[k]
         if not pa or not h.any():
             continue
         pi = cov.positions(pa)
         spp = cov.matrix[np.ix_(pi, pi)]
         flat = h.transpose(1, 0, 2).reshape(len(pa), -1)
-        sol = (np.linalg.solve(spp, flat) if tested else
+        sol = (np.linalg.solve(spp, flat) if vouched else
                _solve_spd(spp, flat, f"parent covariance of bucket {k}"))
         sol = sol.reshape(len(pa), size, h.shape[2]).transpose(1, 0, 2)
         out += np.einsum("tib,uic,bc->tu", h, sol, omegas[k])
@@ -516,7 +523,7 @@ def efficiency_bound(plan: IdentificationPlan, cov: SampleCovariance, w: np.ndar
     model_g, model_gbar = g_regression(cov, plan), gbar_regression(cov, plan)
     grads = {k: np.einsum("t,tib->ib", w, h)[None]
              for k, h in effect_gradients(model_g, plan).items()}
-    return float(_sandwich(grads, model_gbar.omega_blocks, plan, cov, 1, tested=True)[0, 0])
+    return float(_sandwich(grads, model_gbar.omega_blocks, plan, cov, 1)[0, 0])
 
 
 @dataclass
@@ -804,9 +811,8 @@ def estimate_total_effect(
     model = g_regression(cov, plan)
     # one assembly serves tau and the gradients
     tau, lam_ad, m = _assemble_effect(model, plan)
-    # the fit accepted every plan bucket's parent covariance: no second test
     acov = _sandwich(_gradients(plan, lam_ad, m), model.omega_blocks, plan, cov,
-                     len(plan.treatment), tested=True)
+                     len(plan.treatment))
     est = EffectEstimate(
         treatment=plan.treatment,
         outcome=outcome,

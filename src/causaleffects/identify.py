@@ -19,7 +19,6 @@ from .graph import (
     Pdag,
     ancestors_in_subgraph,
     bucket_decomposition,
-    exists_proper_possibly_causal_undirected_start,
     proper_undirected_start_path,
 )
 
@@ -49,7 +48,7 @@ class IdentificationPlan:
 def is_identified(g: Pdag, treatment: Iterable[str], outcome: str) -> bool:
     """True when the joint total effect of ``treatment`` on ``outcome`` is
     identified from ``g``."""
-    return not exists_proper_possibly_causal_undirected_start(g, treatment, outcome)
+    return proper_undirected_start_path(g, treatment, outcome) is None
 
 
 def _render_path(g: Pdag, path: tuple[str, ...]) -> str:

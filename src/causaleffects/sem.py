@@ -335,8 +335,9 @@ def sem_from_dict(d: dict) -> LinearSem:
     ``{"graph": {...}, "coefficients": [[u, v, value], ...],
     "errors": [{"family": ..., "param": ...}, ...]}``.  A missing, unknown or
     malformed field raises :class:`GraphValidationError` naming it, and so
-    do a second coefficient for one edge and a coefficient or ``param`` that
-    is not a finite number (a string or a bool is none)."""
+    do a coefficient for a vertex pair that is not a directed edge (zero
+    included), a second coefficient for one edge and a coefficient or
+    ``param`` that is not a finite number (a string or a bool is none)."""
     _check_fields(d, "SEM JSON", ("graph", "coefficients", "errors"))
     g = graph_from_dict(d["graph"])
     p = g.n_vertices
@@ -345,6 +346,8 @@ def sem_from_dict(d: dict) -> LinearSem:
     try:
         for u, v, val in d["coefficients"]:
             i, j = g.index(u), g.index(v)
+            if not g.has_directed(u, v):
+                raise GraphValidationError(f"coefficient {u!r} -> {v!r} is off the edge set")
             if (i, j) in seen:
                 raise GraphValidationError(f"more than one coefficient for {u!r} -> {v!r}")
             seen.add((i, j))

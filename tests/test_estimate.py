@@ -282,9 +282,9 @@ def test_covariance_map_round_trips(rng):
                 assert np.allclose(om1, om2, atol=1e-9)
 
 
-# One test of the widest parent set vouches for the nested ones.  The DAG's
-# widest parent set is {1, 2, 3} (bucket 4); {1} and {1, 2} lie inside it
-# and {1, 5} (bucket 6) does not.
+# One test of the union of the parent sets vouches for each of them.  The
+# DAG's widest parent set is {1, 2, 3} (bucket 4); {1} and {1, 2} lie inside
+# it and {1, 5} (bucket 6) does not, so the union is {1, 2, 3, 5}.
 _NESTED = Pdag(("1", "2", "3", "4", "5", "6"),
                (("1", "2"), ("1", "3"), ("2", "3"), ("1", "4"), ("2", "4"), ("3", "4"),
                 ("1", "5"), ("5", "6"), ("1", "6")))
@@ -337,7 +337,7 @@ def _reference_fits(target):
     return {g_regression: (dec, fitted), gbar_regression: (saturated, fitted)}
 
 
-_BANDS = {  # widest parent condition number -> the band it must fall in
+_BANDS = {  # condition number over {1, 2, 3} -> the band it must fall in
     "under_half_limit": (0.99 * COND_LIMIT / 2, 0.0, COND_LIMIT / 2),
     "between_half_limit_and_limit": (0.75 * COND_LIMIT, COND_LIMIT / 2, COND_LIMIT),
     "above_limit": (2.0 * COND_LIMIT, COND_LIMIT, np.inf),
@@ -387,8 +387,9 @@ def test_nested_parent_sets_accept_and_refuse_as_each_bucket_alone(band, colline
 
 
 def test_a_parent_set_outside_the_widest_is_tested_on_its_own():
-    """The widest parent set {1, 2, 3} passes with room to spare, but
-    bucket 6's parents {1, 5} do not lie inside it and are refused."""
+    """The widest parent set {1, 2, 3} is well conditioned, but bucket 6's
+    parents {1, 5}, which do not lie inside it, are not: the union's test
+    fails, and bucket 6 is refused by its own."""
     sigma = _nested_cov(10.0, 0)
     sigma[4, 3:] = sigma[3:, 4] = 0.0
     sigma[4, 4] = sigma[0, 0] / (2.0 * COND_LIMIT)
@@ -398,9 +399,22 @@ def test_a_parent_set_outside_the_widest_is_tested_on_its_own():
         g_regression(cov, bucket_decomposition(_NESTED))
 
 
+def test_one_test_of_the_parent_union_vouches_for_every_bucket(monkeypatch):
+    """On a well-conditioned covariance the g-regression of the full
+    decomposition runs one eigvalsh, on the union {1, 2, 3, 5}, and none
+    for bucket 6's {1, 5}, which lies outside the widest parent set."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    model = g_regression(SampleCovariance(_nested_cov(10.0, 0), _NESTED.vertices),
+                         bucket_decomposition(_NESTED))
+    assert calls == [(1, 4, 4)]
+    assert all(lam is not None for lam in model.lambda_blocks)
+
+
 def test_a_stack_with_one_failing_matrix_rejects_that_matrix_only():
-    """A bootstrap-style stack in which one replicate's widest parent
-    matrix is refused: that replicate alone is rejected, and every other
+    """A bootstrap-style stack in which one replicate's parent matrix over
+    {1, 2, 3} is refused: that replicate alone is rejected, and every other
     one gets the blocks of fitting it on its own; a replicate between
     COND_LIMIT / 2 and COND_LIMIT passes without the shared certificate."""
     dec = bucket_decomposition(_NESTED)

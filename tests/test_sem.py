@@ -420,6 +420,10 @@ def _sem_dict():
         (lambda d: {**d, "coefficients": [["a", "b", 1.0], ["a", "b", 2.0]]},
          "^more than one coefficient for 'a' -> 'b'$"),
         (lambda d: {**d, "coefficients": [["b", "a", 1.0]]}, "off the edge set"),
+        (lambda d: {**d, "coefficients": [["a", "b", 0.5], ["b", "a", 0.0]]},
+         r"^coefficient 'b' -> 'a' is off the edge set$"),
+        (lambda d: {**d, "coefficients": [["a", "a", 0.0]]},
+         r"^coefficient 'a' -> 'a' is off the edge set$"),
         (lambda d: {**d, "coefficients": [["a", "b", "inf"]]},
          "coefficient 'a' -> 'b' must be a finite number, got 'inf'"),
         (lambda d: {**d, "coefficients": [["a", "b", float("inf")]]},

@@ -21,9 +21,13 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
-    """Names an import binds that the module never reads and ``__all__``
-    does not list (``from __future__`` imports excepted)."""
+def _unused_imports(tree: ast.Module, exported, star_names) -> list[tuple[str, int]]:
+    """Names an import binds that the module never reads and ``exported``,
+    its runtime ``__all__``, does not list (``from __future__`` imports
+    excepted).  ``from .m import *`` binds each name of
+    ``star_names(".m")``, the ``__all__`` of that module, and a star import
+    from a module without one (``star_names`` gives None) is reported as
+    ``*``."""
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -31,15 +35,25 @@ def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+                    continue
+                names = star_names("." * node.level + (node.module or ""))
+                for name in ("*",) if names is None else names:
+                    bound[name] = node.lineno
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+    used |= set(exported)
     return sorted((name, line) for name, line in bound.items() if name not in used)
+
+
+def _package_module(path: Path):
+    return causaleffects if path.name == "__init__.py" else \
+        importlib.import_module(f"causaleffects.{path.stem}")
+
+
+def _package_star_names(name: str):
+    return getattr(importlib.import_module(name, "causaleffects"), "__all__", None)
 
 
 def test_package_has_no_unused_imports():
@@ -47,8 +61,21 @@ def test_package_has_no_unused_imports():
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{line} {name}" for name, line in _unused_imports(tree)]
+        exported = getattr(_package_module(path), "__all__", ())
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in _unused_imports(tree, exported, _package_star_names)]
     assert not found, f"unused imports in the package: {found}"
+
+
+def test_unused_import_check_sees_each_kind_of_waste():
+    star_names = {".exported": ["A", "B"], ".bare": None}.get
+    sources = {
+        "import os\nfrom .exported import A\n__all__ = []\n": ([], [("A", 2), ("os", 1)]),
+        "from .bare import *\nprint(x)\n": ([], [("*", 1)]),
+        "from .exported import *\n__all__ = ['A']\n": (["A"], [("B", 1)]),
+    }
+    for source, (exported, found) in sources.items():
+        assert _unused_imports(ast.parse(source), exported, star_names) == found, source
 
 
 def test_package_exports_every_module_export():
