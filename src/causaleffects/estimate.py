@@ -61,7 +61,7 @@ def _check_cover(index: dict, vertices: Sequence[str], what: str) -> None:
         raise GraphValidationError(f"{what} cover different vertex sets")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleCovariance:
     """A covariance matrix tied to a vertex order.
 
@@ -78,7 +78,7 @@ class SampleCovariance:
     matrix: np.ndarray
     vertex_order: tuple[str, ...]
     n: int | None = None
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
+    _index: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.n is not None:
@@ -226,7 +226,7 @@ def _vouched(stack: np.ndarray, parent_sets, local: dict) -> bool:
     return bool(np.all(_condition(stack[:, ui[:, None], ui]) <= COND_LIMIT / 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockRecursiveModel:
     """Per-bucket regression blocks (Lambda_k, Omega_k).
 
@@ -457,21 +457,18 @@ def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovarian
              size: int) -> np.ndarray:
     """The Kronecker quadratic form of :func:`delta_method_acov`, symmetrized,
     for gradient blocks ``grads[k]`` of shape (size, |Pa(B_k)|, |B_k|) and
-    residual blocks ``omegas[k]``.  The parent covariances are solved
-    untested when :func:`_vouched` accepts their union, and each through
-    :func:`_solve_spd` otherwise."""
+    residual blocks ``omegas[k]``.  The caller has fitted the plan's
+    buckets on this ``cov`` (:func:`g_regression`), which tested every
+    parent covariance, so they are solved untested."""
     parents = plan.buckets.external_parents
-    vouched = _vouched(cov.matrix[None], [parents[k] for k in grads], cov._index)
     out = np.zeros((size, size))
     for k, h in grads.items():
         pa = parents[k]
         if not pa or not h.any():
             continue
         pi = cov.positions(pa)
-        spp = cov.matrix[np.ix_(pi, pi)]
         flat = h.transpose(1, 0, 2).reshape(len(pa), -1)
-        sol = (np.linalg.solve(spp, flat) if vouched else
-               _solve_spd(spp, flat, f"parent covariance of bucket {k}"))
+        sol = np.linalg.solve(cov.matrix[np.ix_(pi, pi)], flat)
         sol = sol.reshape(len(pa), size, h.shape[2]).transpose(1, 0, 2)
         out += np.einsum("tib,uic,bc->tu", h, sol, omegas[k])
     return (out + out.T) / 2.0
@@ -490,10 +487,12 @@ def delta_method_acov(
         acov[t, u] = sum_k  sum_{b, c}  Omega_k[b, c] *
                      (H_t' Sigma_{Pa}^{-1} H_u)[b, c].
 
-    ``cov`` must cover the vertices of the plan's bucket decomposition,
-    as in :func:`g_regression` (:class:`GraphValidationError`).
+    ``cov`` is fitted for ``plan`` as :func:`g_regression` fits it, so it
+    must cover the vertices of the plan's bucket decomposition
+    (:class:`GraphValidationError`), and a parent covariance that fit
+    refuses raises :class:`IllConditionedError` naming its bucket.
     """
-    _check_cover(cov._index, plan.buckets.vertex_order, "covariance and bucket decomposition")
+    g_regression(cov, plan)  # the fit's cover check and test; its blocks are not read
     grads = effect_gradients(model, plan)
     return _sandwich(grads, model.omega_blocks, plan, cov, len(plan.treatment))
 

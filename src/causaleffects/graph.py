@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (GraphValidationError, InconsistentKnowledgeError, _check_fields,
-                     _label_map, _sequence, _unknown_label)
+                     _flag, _label_map, _sequence, _unknown_label)
 
 __all__ = [
     "Pdag",
@@ -775,8 +775,10 @@ def graph_from_dict(d: dict, strict: bool = False) -> Pdag:
 
     With ``strict=True`` the graph must additionally be rule-closed and an
     :class:`Mpdag` is returned; the error message names the violated rule.
-    Only the JSON shape is checked here; :class:`Pdag` checks the entries.
+    ``strict`` must be a bool (:class:`GraphValidationError`).  Only the
+    JSON shape is checked here; :class:`Pdag` checks the entries.
     """
+    strict = _flag(strict, "strict")
     _check_fields(d, "graph JSON", ("vertices", "directed", "undirected"))
     for key, of in (("vertices", "labels"), ("directed", "[u, v] pairs"),
                     ("undirected", "[u, v] pairs")):

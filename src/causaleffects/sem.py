@@ -94,7 +94,7 @@ class ErrorSpec:
         return _FAMILIES[self.family][2](rng, self.param, size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSem:
     """A DAG plus edge coefficients and per-vertex error specs.
 
@@ -356,19 +356,16 @@ def sem_from_dict(d: dict) -> LinearSem:
         raise GraphValidationError("'coefficients' must be an array of [u, v, value]") from None
     try:
         errors = tuple(_error_spec(e) for e in d["errors"])
-    except (TypeError, KeyError):
+    except TypeError:  # 'errors' is not iterable
         raise GraphValidationError("'errors' must be an array of {family, param}") from None
     return LinearSem(g, gamma, errors)
 
 
 def _error_spec(e: dict) -> ErrorSpec:
-    """The :class:`ErrorSpec` of one SEM JSON error object; a field other
-    than ``family`` and ``param`` raises :class:`GraphValidationError`."""
-    spec = ErrorSpec(e["family"], e["param"])
-    extras = set(e) - {"family", "param"}
-    if extras:
-        raise GraphValidationError(f"unknown SEM error fields: {sorted(extras, key=str)}")
-    return spec
+    """The :class:`ErrorSpec` of one SEM JSON error object, which must hold
+    exactly the fields ``family`` and ``param`` (:func:`_check_fields`)."""
+    _check_fields(e, "SEM error", ("family", "param"))
+    return ErrorSpec(e["family"], e["param"])
 
 
 def save_sem(sem: LinearSem, path) -> None:

@@ -13,6 +13,7 @@ from causaleffects import (
     GraphValidationError,
     IdentificationPlan,
     IllConditionedError,
+    LinearSem,
     Mpdag,
     NotIdentifiedError,
     Pdag,
@@ -221,6 +222,19 @@ def test_sample_covariance_keeps_a_read_only_copy():
         c.matrix[0, 0] = -5.0
 
 
+def test_array_holders_compare_and_hash_by_identity(chain_sem):
+    """SampleCovariance, LinearSem and BlockRecursiveModel hold numpy
+    arrays, so they compare and hash by identity: two equal ones differ,
+    and neither ``==`` nor ``hash`` raises."""
+    cov = SampleCovariance(chain_sem.implied_covariance(), chain_sem.graph.vertices)
+    for make in (lambda: SampleCovariance(cov.matrix, cov.vertex_order),
+                 lambda: LinearSem(chain_sem.graph, chain_sem.gamma, chain_sem.errors),
+                 lambda: g_regression(cov, bucket_decomposition(chain_sem.graph))):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 # ---------------------------------------------------------------------------
 # bucketed regression
 
@@ -406,10 +420,31 @@ def test_one_test_of_the_parent_union_vouches_for_every_bucket(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    model = g_regression(SampleCovariance(_nested_cov(10.0, 0), _NESTED.vertices),
-                         bucket_decomposition(_NESTED))
+    cov = SampleCovariance(_nested_cov(10.0, 0), _NESTED.vertices)
+    model = g_regression(cov, bucket_decomposition(_NESTED))
     assert calls == [(1, 4, 4)]
     assert all(lam is not None for lam in model.lambda_blocks)
+    # the variance reads the parent covariances the fit tested: an estimate
+    # tests {1, 5} once, and the bound adds only the gbar fit's test
+    plan = build_plan(_NESTED, ("1",), "6")
+    calls.clear()
+    estimate_total_effect(_NESTED, ("1",), "6", cov=cov)
+    assert calls == [(1, 2, 2)]
+    calls.clear()
+    efficiency_bound(plan, cov, [1.0])
+    assert len(calls) == 2
+
+
+def test_delta_method_acov_tests_its_covariance_as_the_fit_does():
+    """A model fitted on a well-conditioned covariance does not vouch for
+    another one: delta_method_acov refuses an ill-conditioned ``cov`` with
+    the fit's message, naming bucket 4 and its parents {1, 2, 3}."""
+    plan = build_plan(_NESTED, ("1",), "4")
+    model = g_regression(SampleCovariance(_nested_cov(10.0, 0), _NESTED.vertices), plan)
+    bad = SampleCovariance(_nested_cov(_BANDS["above_limit"][0], 0), _NESTED.vertices)
+    with pytest.raises(IllConditionedError,
+                       match=re.escape("regression of bucket ('4',) on ('1', '2', '3'): ")):
+        delta_method_acov(model, plan, bad)
 
 
 def test_a_stack_with_one_failing_matrix_rejects_that_matrix_only():

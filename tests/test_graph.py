@@ -797,3 +797,18 @@ def test_graph_from_dict_strict_requires_closure():
     graph_from_dict(d)  # lax: fine as a plain partially directed graph
     with pytest.raises(GraphValidationError):
         graph_from_dict(d, strict=True)
+
+
+@pytest.mark.parametrize("strict", ["no", "", 1, 0, None, np.array(True)])
+def test_graph_from_dict_strict_must_be_a_bool(strict, tmp_path):
+    """``strict`` is a flag: anything but a Python or numpy bool is refused,
+    through ``load_graph`` too, rather than read by its truth value."""
+    d = {"vertices": ["a", "b"], "directed": [["a", "b"]], "undirected": []}
+    assert type(graph_from_dict(d, strict=np.True_)) is Mpdag
+    assert type(graph_from_dict(d, strict=np.False_)) is Pdag
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    for read in (lambda: graph_from_dict(d, strict=strict), lambda: load_graph(path, strict)):
+        with pytest.raises(GraphValidationError) as exc:
+            read()
+        assert str(exc.value) == f"strict must be a bool, got {strict!r}"

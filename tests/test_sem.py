@@ -429,8 +429,9 @@ def _sem_dict():
         (lambda d: {**d, "coefficients": [["a", "b", float("inf")]]},
          "coefficient 'a' -> 'b' must be a finite number, got inf"),
         (lambda d: {**d, "errors": None}, "'errors' must be an array"),
-        (lambda d: {**d, "errors": [{"family": "gaussian"}] * 2}, "'errors' must be an array"),
-        (lambda d: {**d, "errors": ["gaussian", "uniform"]}, "'errors' must be an array"),
+        (lambda d: {**d, "errors": [{"family": "gaussian"}] * 2},
+         "^SEM error is missing the 'param' field$"),
+        (lambda d: {**d, "errors": ["gaussian", "uniform"]}, "^SEM error must be an object$"),
         (lambda d: {**d, "errors": d["errors"][:1]}, "one error spec per vertex"),
         (lambda d: {**d, "errors": [{"family": "gaussian", "param": 1.0, "scale": 2}] * 2},
          r"^unknown SEM error fields: \['scale'\]$"),
