@@ -179,35 +179,26 @@ def _condition(a: np.ndarray) -> np.ndarray:
     return np.where(pd, w[:, -1] / np.where(pd, w[:, 0], 1.0), np.inf)
 
 
-def _solve_spd_stack(a: np.ndarray, b: np.ndarray, what: str | None = None):
-    """Solve the stacked systems ``a[i] x = b[i]`` for symmetric ``a`` of
-    shape (B, p, p), p >= 1, and ``b`` of shape (B, p, m).
-
-    A system is solved only when ``eigvalsh`` finds ``a[i]`` positive
-    definite with condition number at most :data:`COND_LIMIT`.  Returns
-    ``(x, ok, cond)``: ``x`` is zero where ``ok`` is false, and ``cond`` is
-    each condition number (inf when not positive definite).  Given ``what``,
-    a refused system raises :class:`IllConditionedError` naming it instead.
-    """
+def _accepted(a: np.ndarray, what: str | None = None) -> np.ndarray:
+    """Whether ``eigvalsh`` finds each symmetric matrix of the stack ``a``
+    (B, p, p), p >= 1, positive definite with condition number at most
+    :data:`COND_LIMIT`.  Given ``what``, a refused matrix raises
+    :class:`IllConditionedError` naming it instead."""
     cond = _condition(a)
     ok = cond <= COND_LIMIT
-    if ok.all():
-        return np.linalg.solve(a, b), ok, cond
-    if what is not None:
+    if what is not None and not ok.all():
         bad = float(cond[~ok][0])
         reason = ("matrix is not positive definite" if bad == float("inf") else
                   f"condition number {bad:.3e} exceeds {COND_LIMIT:.0e}")
         raise IllConditionedError(f"{what}: {reason}", cond=bad)
-    x = np.zeros(b.shape)
-    x[ok] = np.linalg.solve(a[ok], b[ok])
-    return x, ok, cond
+    return ok
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``a x = b`` for one symmetric positive definite ``a`` by
-    :func:`_solve_spd_stack`, raising :class:`IllConditionedError` for a
-    system it refuses."""
-    x, _, _ = _solve_spd_stack(a[None], (b[:, None] if b.ndim == 1 else b)[None], what)
+    """Solve ``a x = b`` for one symmetric positive definite ``a``, raising
+    :class:`IllConditionedError` for a matrix :func:`_accepted` refuses."""
+    _accepted(a[None], what)
+    x = np.linalg.solve(a[None], (b[:, None] if b.ndim == 1 else b)[None])
     return x[0].reshape(b.shape)
 
 
@@ -251,6 +242,27 @@ class BlockRecursiveModel:
         return self.buckets.external_parents[k]
 
 
+def _tested(stack: np.ndarray, buckets: BucketDecomposition, fitted, local: dict,
+            strict: bool) -> np.ndarray:
+    """Which second-moment matrices of ``stack`` (B, c, c) every fitted
+    bucket's parent covariance accepts; ``local`` maps a label to its
+    column.  When :func:`_vouched` accepts the union of the fitted parent
+    sets, all are; otherwise each bucket is tested in turn by
+    :func:`_accepted`.  ``strict`` raises :class:`IllConditionedError` for
+    the first bucket refusing any matrix.  Nothing is solved."""
+    parents, members = buckets.external_parents, buckets.buckets
+    ok = np.ones(len(stack), dtype=bool)
+    if _vouched(stack, [parents[k] for k in fitted], local):
+        return ok
+    for k in fitted:
+        pa = parents[k]
+        if pa:
+            pi = np.array([local[v] for v in pa], dtype=int)
+            what = f"regression of bucket {members[k]} on {pa}" if strict else None
+            ok &= _accepted(stack[:, pi[:, None], pi], what)
+    return ok
+
+
 def _fit_stack(
     stack: np.ndarray, buckets: BucketDecomposition, fitted, local: dict, strict: bool
 ):
@@ -258,19 +270,16 @@ def _fit_stack(
     second-moment matrix of ``stack`` (B, c, c); ``local`` maps a label to
     its column.
 
-    Each bucket's solve runs once on the whole stack.  When
-    :func:`_vouched` accepts the union of the fitted parent sets, every
-    bucket is solved untested; otherwise each bucket is tested in turn
-    through :func:`_solve_spd_stack`.  Returns ``(lambdas, omegas,
-    ok)``: the blocks, with the stack axis, keyed by fitted bucket index,
-    and whether every fitted bucket accepted each matrix.  ``strict``
-    raises :class:`IllConditionedError` for the first bucket refusing any
-    matrix.
+    :func:`_tested` decides which matrices every fitted bucket accepts
+    (``strict`` as there), and each bucket's solve then runs once on the
+    accepted part of the stack.  Returns ``(lambdas, omegas, ok)``: the
+    blocks, with the stack axis, keyed by fitted bucket index, and ``ok``
+    from :func:`_tested`; the coefficient blocks of a refused matrix are
+    zero.
     """
+    ok = _tested(stack, buckets, fitted, local, strict)
     parents, members = buckets.external_parents, buckets.buckets
-    vouched = _vouched(stack, [parents[k] for k in fitted], local)
     lambdas, omegas = {}, {}
-    ok = np.ones(len(stack), dtype=bool)
     for k in fitted:
         pa, bucket = parents[k], members[k]
         q = len(pa)
@@ -283,12 +292,11 @@ def _fit_stack(
         # contiguous copies: solve and @ may round a strided operand otherwise
         spp = np.ascontiguousarray(block[:, :q, :q])
         spb = np.ascontiguousarray(block[:, :q, q:])
-        if vouched:
+        if ok.all():
             lam = np.linalg.solve(spp, spb)
-        else:
-            what = f"regression of bucket {bucket} on {pa}" if strict else None
-            lam, bucket_ok, _ = _solve_spd_stack(spp, spb, what)
-            ok &= bucket_ok
+        else:  # a refused matrix may be singular: solve the others alone
+            lam = np.zeros(spb.shape)
+            lam[ok] = np.linalg.solve(spp[ok], spb[ok])
         omega = omega - spb.transpose(0, 2, 1) @ lam
         lambdas[k], omegas[k] = lam, (omega + omega.transpose(0, 2, 1)) / 2.0
     return lambdas, omegas, ok
@@ -457,9 +465,9 @@ def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovarian
              size: int) -> np.ndarray:
     """The Kronecker quadratic form of :func:`delta_method_acov`, symmetrized,
     for gradient blocks ``grads[k]`` of shape (size, |Pa(B_k)|, |B_k|) and
-    residual blocks ``omegas[k]``.  The caller has fitted the plan's
-    buckets on this ``cov`` (:func:`g_regression`), which tested every
-    parent covariance, so they are solved untested."""
+    residual blocks ``omegas[k]``.  The caller has tested the plan's parent
+    covariances in this ``cov`` (:func:`_tested`, by a fit or alone), so
+    they are solved untested."""
     parents = plan.buckets.external_parents
     out = np.zeros((size, size))
     for k, h in grads.items():
@@ -487,12 +495,13 @@ def delta_method_acov(
         acov[t, u] = sum_k  sum_{b, c}  Omega_k[b, c] *
                      (H_t' Sigma_{Pa}^{-1} H_u)[b, c].
 
-    ``cov`` is fitted for ``plan`` as :func:`g_regression` fits it, so it
-    must cover the vertices of the plan's bucket decomposition
-    (:class:`GraphValidationError`), and a parent covariance that fit
-    refuses raises :class:`IllConditionedError` naming its bucket.
+    ``cov`` is tested for ``plan`` as :func:`g_regression` tests it, without
+    its solves: it must cover the vertices of the plan's bucket
+    decomposition (:class:`GraphValidationError`), and a parent covariance
+    that fit refuses raises :class:`IllConditionedError` naming its bucket.
     """
-    g_regression(cov, plan)  # the fit's cover check and test; its blocks are not read
+    _check_cover(cov._index, plan.buckets.vertex_order, "covariance and bucket decomposition")
+    _tested(cov.matrix[None], plan.buckets, plan.bucket_order, cov._index, strict=True)
     grads = effect_gradients(model, plan)
     return _sandwich(grads, model.omega_blocks, plan, cov, len(plan.treatment))
 

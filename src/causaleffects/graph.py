@@ -267,33 +267,42 @@ def _rule_instances(
     of R2's and R4's directed path.  ``src`` keeps only instances whose
     directed edge into ``b`` starts there (for R3, either edge), ``dst``
     only those whose directed edge out of ``b`` ends there, so R1 and R3
-    have none.  ``g`` is only read.
+    have none.  ``g`` is only read.  Unrestricted, it tests adjacency at
+    most |pa(b)| (|nb(b)| + |pa(b)| + |ch(b)|) times.
     """
     pa, ch, nb, adj = g._pa, g._ch, g._nb, g._adj
     nb_b = nb[b]
     for a in pa[b] if src is None else (src,):
         nb_a = nb[a]
+        if not (nb_a or nb_b):  # every rule needs an undirected edge at a or b
+            continue
+        # R3 and R4 need an undirected neighbour d of both a and b
+        shared = nb_a and nb_b and not nb_a.isdisjoint(nb_b)
         if dst is None:
             # R1: a -> b - c, a and c non-adjacent  =>  b -> c
             for c in nb_b:
                 if not adj(a, c):
                     out.append(((a, b, c), "R1", (b, c)))
             # R3: a -> b <- c, d - a, d - b, d - c, a and c non-adjacent
-            #     =>  d -> b; unrestricted, each pair {a, c} once as a < c
-            for d in nb_b:
-                if d in nb_a:
-                    for c in pa[b] & nb[d]:
-                        if (a < c if src is None else a != c) and not adj(a, c):
-                            out.append(((a, b, c, d), "R3", (d, b)))
+            #     =>  d -> b; unrestricted, each pair {a, c} once as a < c;
+            #     the far parents c are listed once per a
+            if shared:
+                far = {c for c in pa[b] if (a < c if src is None else a != c) and not adj(a, c)}
+                for d in nb_b if far else ():
+                    if d in nb_a:
+                        for c in pa[b] & nb[d]:
+                            if c in far:
+                                out.append(((a, b, c, d), "R3", (d, b)))
         for c in ch[b] if dst is None else (dst,):
             # R2: a -> b -> c, a - c  =>  a -> c
             if c in nb_a:
                 out.append(((a, b, c), "R2", (a, c)))
                 continue
             # R4: a -> b -> c, d - a, d - b, d - c, a and c non-adjacent  =>  d -> c
-            for d in nb[c]:
-                if d in nb_a and d in nb_b and not adj(a, c):
-                    out.append(((a, b, c, d), "R4", (d, c)))
+            if shared and not adj(a, c):
+                for d in nb[c]:
+                    if d in nb_a and d in nb_b:
+                        out.append(((a, b, c, d), "R4", (d, c)))
 
 
 def _close(m: Mpdag, queue: deque) -> None:

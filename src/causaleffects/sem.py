@@ -94,6 +94,19 @@ class ErrorSpec:
         return _FAMILIES[self.family][2](rng, self.param, size)
 
 
+def _causal_order(g: Pdag) -> list[int]:
+    """Kahn's algorithm over the directed edges: a FIFO queue, children
+    released in index order."""
+    indeg = [len(pa) for pa in g._pa]
+    out = [i for i, d in enumerate(indeg) if d == 0]
+    for i in out:  # grows while read
+        for j in sorted(g._ch[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                out.append(j)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSem:
     """A DAG plus edge coefficients and per-vertex error specs.
@@ -136,18 +149,7 @@ class LinearSem:
         return np.array([e.variance for e in self.errors])
 
     def topological_order(self) -> list[int]:
-        g = self.graph
-        indeg = [len(g._pa[i]) for i in range(g.n_vertices)]
-        out = [i for i, d in enumerate(indeg) if d == 0]
-        head = 0
-        while head < len(out):
-            i = out[head]
-            head += 1
-            for j in sorted(g._ch[i]):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    out.append(j)
-        return out
+        return _causal_order(self.graph)
 
     def implied_covariance(self) -> np.ndarray:
         """Population covariance (I - Gamma)^-T V (I - Gamma)^-1 in the
@@ -233,29 +235,41 @@ def random_sem(
         fam = family or draw_family()
         lo, hi = _FAMILIES[fam][0]
         specs = [ErrorSpec(fam, a) for a in rng.uniform(lo, hi, p).tolist()]
-    sem = LinearSem(dag, gamma, tuple(specs))
-
     if rescale:
-        v = sem.error_variances
-        sigma = np.zeros((p, p))
-        done: list[int] = []
-        for j in sem.topological_order():
-            pa = sorted(dag._pa[j])
-            if pa:
-                spp = sigma[np.ix_(pa, pa)]
-                contrib = float(gamma[pa, j] @ spp @ gamma[pa, j])
-                budget = max(6.0 - v[j], 0.25)
-                if contrib > budget:
-                    gamma[pa, j] *= np.sqrt(budget / contrib)
-                cross = gamma[pa, j] @ sigma[np.ix_(pa, done)]
-                sigma[j, done] = cross
-                sigma[done, j] = cross
-                sigma[j, j] = v[j] + float(gamma[pa, j] @ spp @ gamma[pa, j])
-            else:
-                sigma[j, j] = v[j]
-            done.append(j)
-        sem = LinearSem(dag, gamma, tuple(specs))
-    return sem
+        _rescale(dag, gamma, np.array([e.variance for e in specs]))
+    return LinearSem(dag, gamma, tuple(specs))
+
+
+def _rescale(dag: Pdag, gamma: np.ndarray, v: np.ndarray) -> None:
+    """Shrink each vertex's incoming column of ``gamma`` in place, in causal
+    order, so its implied variance is at most max(6, v_j + 0.25).
+
+    ``s`` is the implied covariance in causal-order coordinates: row and
+    column t hold vertex ``order[t]``, so the vertices done are the block
+    ``[:t]``.  The products' last bits depend on the layout of their
+    operands, and seeded SEMs are pinned to the recursion in vertex
+    coordinates through ``np.ix_`` (``tests/oracles.random_sem_loop_oracle``),
+    whose gathers are C-contiguous; so are both gathers here.  An
+    F-contiguous Sigma_pa,pa such as ``s[pt, :t][:, pt]`` changes the bits."""
+    order = _causal_order(dag)
+    pos = np.argsort(order)  # vertex -> its row in s
+    s = np.zeros((len(order), len(order)))
+    for t, j in enumerate(order):
+        pa = sorted(dag._pa[j])
+        if not pa:
+            s[t, t] = v[j]
+            continue
+        pt = pos[pa]
+        spp = s[pt[:, None], pt]
+        g = gamma[pa, j]
+        contrib = float(g @ spp @ g)
+        budget = max(6.0 - v[j], 0.25)
+        if contrib > budget:
+            g *= np.sqrt(budget / contrib)
+            gamma[pa, j] = g
+            contrib = float(g @ spp @ g)
+        s[t, :t] = s[:t, t] = g @ s[pt, :t]
+        s[t, t] = v[j] + contrib
 
 
 def sample(sem: LinearSem, n: int, rng: np.random.Generator) -> np.ndarray:

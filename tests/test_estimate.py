@@ -447,6 +447,25 @@ def test_delta_method_acov_tests_its_covariance_as_the_fit_does():
         delta_method_acov(model, plan, bad)
 
 
+def test_delta_method_acov_tests_without_refitting(monkeypatch):
+    """delta_method_acov tests ``cov`` as the fit does but solves nothing of
+    a fit: on the effect of 1 on 6 it makes one eigvalsh (the union test)
+    and three solves (the assembly's, and one per plan bucket with parents),
+    and it equals the acov of the estimate bit for bit."""
+    cov = sample_covariance(rng_from_seed(4).normal(size=(100, 6)), _NESTED.vertices)
+    plan = build_plan(_NESTED, ("1",), "6")
+    model = g_regression(cov, plan)
+    calls = []
+    for name in ("solve", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    acov = delta_method_acov(model, plan, cov)
+    assert sorted(calls) == ["eigvalsh", "solve", "solve", "solve"]
+    monkeypatch.undo()
+    assert np.array_equal(acov, estimate_total_effect(_NESTED, ("1",), "6", cov=cov).acov)
+
+
 def test_a_stack_with_one_failing_matrix_rejects_that_matrix_only():
     """A bootstrap-style stack in which one replicate's parent matrix over
     {1, 2, 3} is refused: that replicate alone is rejected, and every other

@@ -330,6 +330,34 @@ def test_rule_violations_reports_pattern():
     assert ("R1", ("a", "b", "c")) in viol
 
 
+def _clique_with_knowledge(k: int, frac: float, seed: int) -> Mpdag:
+    """The closure of an undirected K_k after orienting a random ``frac`` of
+    its pairs along the index order (so some DAG extends it)."""
+    labels = tuple(f"v{i}" for i in range(k))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pick = rng_from_seed(seed, k).random(len(pairs)) < frac
+    g = Pdag(labels, (), [(labels[i], labels[j]) for i, j in pairs])
+    return construct_mpdag(g, [(labels[i], labels[j]) for (i, j), s in zip(pairs, pick) if s])
+
+
+@pytest.mark.parametrize("k", [20, 40, 80])
+def test_rule_scan_adjacency_tests_stay_within_the_edge_bound(monkeypatch, k):
+    """A full rule scan tests each pair (a, c) at most once per rule and per
+    parent a of a centre b: R1 tries each undirected neighbour c of b, R3
+    each other parent and R4 each child, both before their loop over the
+    fourth vertex d.  So ``_adj`` runs at most
+    sum_b |pa(b)| (|nb(b)| + |pa(b)| + |ch(b)|) times on a closed clique
+    with knowledge."""
+    g = _clique_with_knowledge(k, 0.05, 1)
+    bound = sum(len(g._pa[b]) * (len(g._nb[b]) + len(g._pa[b]) + len(g._ch[b]))
+                for b in range(k))
+    calls = []
+    adj = Pdag._adj
+    monkeypatch.setattr(Pdag, "_adj", lambda self, i, j: calls.append(i) or adj(self, i, j))
+    assert rule_violations(g) == []
+    assert 0 < len(calls) <= bound
+
+
 def test_rule_violations_do_not_depend_on_edge_order():
     """The same unclosed graph, its edges listed in shuffled orders and
     directions, names the same first violation and the same "+N more"."""

@@ -272,12 +272,18 @@ def test_random_sem_family_values(rng):
 
 def _draw_test_dags():
     """Random DAGs past ten vertices (label order differs from index order),
-    an edgeless one and one whose vertex order is not its label order."""
+    an edgeless one, one whose vertex order is not its label order, and 60
+    random DAGs with p 2-120 and expected degree 0-6.  The last set makes
+    the rescale read parent covariances of many shapes, so a gather in
+    another memory layout (which changes the products' last bits) shows."""
     rng = rng_from_seed(31)
     dags = [random_dag(int(rng.integers(2, 30)), float(rng.integers(1, 6)), rng)
             for _ in range(6)]
     dags.append(random_dag(5, 0.0, rng))
     dags.append(Pdag(("y", "b", "a", "m"), (("a", "m"), ("m", "y"), ("a", "y"), ("b", "m"))))
+    wide = rng_from_seed(32)
+    dags += [random_dag(int(wide.integers(2, 121)), float(wide.uniform(0.0, 6.0)), wide)
+             for _ in range(60)]
     return dags
 
 
@@ -311,6 +317,18 @@ def test_rescale_caps_variance_spread(rng):
         assert ratio <= 20.0
         assert marg.max() <= 6.25 + 1e-9
     assert worst > 1.0
+
+
+@pytest.mark.parametrize("family", [None, "mixed"])
+def test_rescale_caps_every_marginal_variance(family):
+    """The documented cap on random DAGs: each vertex's implied marginal
+    variance is at most max(6, its error variance + 0.25)."""
+    rng = rng_from_seed(41)
+    for _ in range(40):
+        dag = random_dag(int(rng.integers(2, 80)), float(rng.uniform(0.0, 6.0)), rng)
+        sem = random_sem(dag, rng, rescale=True, family=family)
+        cap = np.maximum(6.0, sem.error_variances + 0.25)
+        assert np.all(np.diag(sem.implied_covariance()) <= cap * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("rescale", ["no", 1, None])

@@ -224,25 +224,26 @@ def bootstrap(data, columns):
 
 def test_only_the_fit_tests_a_parent_covariance():
     """In ``estimate.py`` the union of the parent sets is tested in
-    ``_fit_stack`` alone: the variance reads the parent covariances its
-    caller's fit has tested, so it solves them without a second test."""
+    ``_tested`` alone, the fit's test without its solves: the variance
+    reads the parent covariances that test has passed, so it solves them
+    without a second test."""
     path = PACKAGE_DIR / "estimate.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = _calls_outside(tree, {"_vouched"}, "_fit_stack")
-    assert not found, f"parent covariances tested outside estimate._fit_stack: {found}"
+    found = _calls_outside(tree, {"_vouched"}, "_tested")
+    assert not found, f"parent covariances tested outside estimate._tested: {found}"
 
 
 def test_parent_test_check_sees_each_kind_of_copy():
     source = """
-def _fit_stack(stack, buckets, fitted, local, strict):
+def _tested(stack, buckets, fitted, local, strict):
     vouched = _vouched(stack, parents, local)
 def _sandwich(grads, omegas, plan, cov, size):
     vouched = _vouched(cov.matrix[None], parents, cov._index)
     ok = estimate._vouched(cov.matrix[None], parents, cov._index)
-    def _fit_stack_again(x):
+    def _tested_again(x):
         return _vouched(x, parents, local)
 """
-    assert _calls_outside(ast.parse(source), {"_vouched"}, "_fit_stack") == [
+    assert _calls_outside(ast.parse(source), {"_vouched"}, "_tested") == [
         (5, "_vouched"), (6, "_vouched"), (8, "_vouched")]
 
 
