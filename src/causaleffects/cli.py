@@ -54,6 +54,7 @@ class _InvalidGraph(Exception):
 _FAILURES = (
     (_InvalidGraph, _INVALID_GRAPH, "invalid graph: "),
     ((_CliInputError, OSError), _INPUT_ERROR, "input error: "),
+    (MemoryError, _INPUT_ERROR, "input error: out of memory: "),
     (NotIdentifiedError, _NOT_IDENTIFIED, ""),
     (IllConditionedError, _NUMERIC, "numeric failure: "),
     ((GraphValidationError, DegenerateSampleError), _INPUT_ERROR, "bad input: "),

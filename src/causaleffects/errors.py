@@ -105,6 +105,18 @@ def _check_fields(d, what: str, keys: tuple[str, ...]) -> None:
         raise GraphValidationError(f"unknown {what} fields: {sorted(extras, key=str)}")
 
 
+def _unique_fields(pairs) -> dict:
+    """The ``object_pairs_hook`` of the JSON readers: an object's fields as a
+    dict, refusing a field given twice with :class:`GraphValidationError`
+    naming it (``json`` alone would keep its last value)."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise GraphValidationError(f"JSON object repeats the {key!r} field")
+        d[key] = value
+    return d
+
+
 def _check_seed(seed) -> int:
     """``seed`` as a Python int when it is an integer in [0, 2**64), the
     keys of the 64-bit Philox generators that the bootstrap and the

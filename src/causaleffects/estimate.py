@@ -194,14 +194,6 @@ def _accepted(a: np.ndarray, what: str | None = None) -> np.ndarray:
     return ok
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``a x = b`` for one symmetric positive definite ``a``, raising
-    :class:`IllConditionedError` for a matrix :func:`_accepted` refuses."""
-    _accepted(a[None], what)
-    x = np.linalg.solve(a[None], (b[:, None] if b.ndim == 1 else b)[None])
-    return x[0].reshape(b.shape)
-
-
 def _vouched(stack: np.ndarray, parent_sets, local: dict) -> bool:
     """Whether one test of the union of ``parent_sets`` finds every matrix
     of ``stack`` (B, c, c) positive definite with condition number at most
@@ -268,7 +260,8 @@ def _fit_stack(
 ):
     """Regress each fitted bucket on its external parents in every
     second-moment matrix of ``stack`` (B, c, c); ``local`` maps a label to
-    its column.
+    its column.  Only the fitted buckets' members and parents are read, so
+    ``buckets`` need not partition the columns.
 
     :func:`_tested` decides which matrices every fitted bucket accepts
     (``strict`` as there), and each bucket's solve then runs once on the
@@ -619,22 +612,20 @@ def _adjustment_from_cov(
     cov: SampleCovariance, treatment: tuple[str, ...], outcome: str, adjust: tuple[str, ...]
 ) -> EffectEstimate:
     """The regression behind :func:`adjustment_estimate`, on any covariance
-    (a population one gives the exact asymptotic variance)."""
+    (a population one gives the exact asymptotic variance): the one-bucket
+    case of :func:`_fit_stack`, the bucket ``(outcome,)`` with the treatment
+    and adjustment labels as its external parents."""
     xs = treatment + adjust
     xi = cov.positions(xs)
-    yi = cov.positions([outcome])[0]
-    sxx = cov.matrix[np.ix_(xi, xi)]
-    sxy = cov.matrix[xi, yi]
-    beta = _solve_spd(sxx, sxy, "adjustment regression")
-    resid_var = float(cov.matrix[yi, yi] - sxy @ beta)
-    sxx_inv = np.linalg.solve(sxx, np.eye(len(xs)))  # sxx passed the test above
+    spec = BucketDecomposition(cov.vertex_order, ((outcome,),), (xs,))
+    lambdas, omegas, _ = _fit_stack(cov.matrix[None], spec, (0,), cov._index, strict=True)
+    sxx_inv = np.linalg.solve(cov.matrix[np.ix_(xi, xi)], np.eye(len(xs)))  # the fit accepted it
     n_a = len(treatment)
-    acov = resid_var * sxx_inv[:n_a, :n_a]
     return EffectEstimate(
         treatment=treatment,
         outcome=outcome,
-        tau=beta[:n_a].copy(),
-        acov=acov,
+        tau=lambdas[0][0, :n_a, 0].copy(),
+        acov=float(omegas[0][0, 0, 0]) * sxx_inv[:n_a, :n_a],
         method="adjustment",
         n=cov.n,
     )

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (GraphValidationError, InconsistentKnowledgeError, _check_fields,
-                     _flag, _label_map, _sequence, _unknown_label)
+                     _flag, _label_map, _sequence, _unique_fields, _unknown_label)
 
 __all__ = [
     "Pdag",
@@ -798,9 +798,10 @@ def graph_from_dict(d: dict, strict: bool = False) -> Pdag:
 
 
 def load_graph(path, strict: bool = False) -> Pdag:
-    """:func:`graph_from_dict` of a JSON file; a byte-order mark is ignored."""
+    """:func:`graph_from_dict` of a JSON file; a byte-order mark is ignored,
+    and an object that repeats a field is refused (:func:`_unique_fields`)."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return graph_from_dict(json.load(fh), strict=strict)
+        return graph_from_dict(json.load(fh, object_pairs_hook=_unique_fields), strict=strict)
 
 
 def save_graph(g: Pdag, path) -> None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (GraphValidationError, _check_fields, _check_seed, _finite, _flag,
-                     _float_array, _integer, _sequence)
+                     _float_array, _integer, _sequence, _unique_fields)
 from .graph import Pdag, _check_query, graph_from_dict, graph_to_dict
 from .identify import build_plan
 from .estimate import _effect
@@ -389,6 +389,7 @@ def save_sem(sem: LinearSem, path) -> None:
 
 
 def load_sem(path) -> LinearSem:
-    """:func:`sem_from_dict` of a JSON file; a byte-order mark is ignored."""
+    """:func:`sem_from_dict` of a JSON file; a byte-order mark is ignored,
+    and an object that repeats a field is refused (:func:`_unique_fields`)."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return sem_from_dict(json.load(fh))
+        return sem_from_dict(json.load(fh, object_pairs_hook=_unique_fields))

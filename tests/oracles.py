@@ -325,6 +325,31 @@ def dag_effect(labels, dag_edges, gamma, treatment, outcome, pos):
     return np.array([inv[pos[a], pos[outcome]] for a in treatment])
 
 
+def generic_covariance(labels, dag_edges, rng):
+    """The covariance of a linear SEM on a DAG with generic parameters:
+    coefficients of magnitude 0.5-1.5 and random sign, error variances in
+    0.5-1.5.  Rows follow ``labels``."""
+    pos = {v: i for i, v in enumerate(labels)}
+    p = len(labels)
+    gamma = np.zeros((p, p))
+    for u, v in dag_edges:
+        mag = rng.uniform(0.5, 1.5)
+        gamma[pos[u], pos[v]] = mag if rng.random() < 0.5 else -mag
+    variances = rng.uniform(0.5, 1.5, p)
+    minv = np.linalg.inv(np.eye(p) - gamma)
+    sigma = minv.T @ (variances[:, None] * minv)
+    return (sigma + sigma.T) / 2.0
+
+
+def _refitted_effects(g, treatment, outcome, sigma, exts):
+    """The effect in each DAG of ``exts`` with its parameters refitted to
+    ``sigma``."""
+    labels = g.vertices
+    pos = {v: i for i, v in enumerate(labels)}
+    return np.array([dag_effect(labels, dag, fit_dag_to_cov(labels, dag, sigma, pos),
+                                treatment, outcome, pos) for dag in exts])
+
+
 def identified_bruteforce(g, treatment, outcome, rng, tol=1e-9):
     """Criterion-style oracle: refit every represented DAG to one generic
     covariance and compare the resulting effects.
@@ -335,26 +360,38 @@ def identified_bruteforce(g, treatment, outcome, rng, tol=1e-9):
     """
     exts = consistent_extensions(g)
     assert exts, "graph represents no DAG; inadmissible input"
-    labels = g.vertices
-    pos = {v: i for i, v in enumerate(labels)}
-    ref = exts[0]
-    p = len(labels)
-    gamma_ref = np.zeros((p, p))
-    for u, v in ref:
-        mag = rng.uniform(0.5, 1.5)
-        gamma_ref[pos[u], pos[v]] = mag if rng.random() < 0.5 else -mag
-    variances = rng.uniform(0.5, 1.5, p)
-    minv = np.linalg.inv(np.eye(p) - gamma_ref)
-    sigma = minv.T @ (variances[:, None] * minv)
-    sigma = (sigma + sigma.T) / 2.0
-
-    taus = []
-    for dag in exts:
-        gamma = fit_dag_to_cov(labels, dag, sigma, pos)
-        taus.append(dag_effect(labels, dag, gamma, treatment, outcome, pos))
-    taus = np.array(taus)
+    sigma = generic_covariance(g.vertices, exts[0], rng)
+    taus = _refitted_effects(g, treatment, outcome, sigma, exts)
     spread = float(np.max(np.abs(taus - taus[0]))) if len(taus) > 1 else 0.0
     return spread < tol, spread
+
+
+def valid_adjustment_sets(g, treatment, outcome, sigma, tol=1e-9):
+    """Every valid adjustment set for the effect of ``treatment`` on
+    ``outcome`` relative to a graph of at most 7 vertices, by enumeration.
+
+    ``sigma`` must be a generic covariance (rows in ``g.vertices`` order) of
+    a DAG that ``g`` represents.  It is refitted to every DAG of
+    :func:`consistent_extensions`, and Z is valid when the OLS coefficients
+    of the treatment in the regression of the outcome on (treatment, Z)
+    equal that DAG's :func:`dag_effect` in every one of them.  Sets are
+    tuples in vertex order, the empty set first."""
+    labels = g.vertices
+    if len(labels) > 7:
+        raise ValueError("valid_adjustment_sets enumerates subsets: at most 7 vertices")
+    exts = consistent_extensions(g)
+    assert exts, "graph represents no DAG; inadmissible input"
+    effects = _refitted_effects(g, treatment, outcome, sigma, exts)
+    pos = {v: i for i, v in enumerate(labels)}
+    rest = [v for v in labels if v not in treatment and v != outcome]
+    valid = []
+    for k in range(len(rest) + 1):
+        for z in combinations(rest, k):
+            xi = [pos[v] for v in tuple(treatment) + z]
+            coef = np.linalg.solve(sigma[np.ix_(xi, xi)], sigma[xi, pos[outcome]])
+            if np.max(np.abs(effects - coef[:len(treatment)])) < tol:
+                valid.append(z)
+    return valid
 
 
 def _replicate_effect(xb, pos, plan, center, cond_limit):

@@ -43,7 +43,7 @@ from causaleffects import (
     true_effect_pathsum,
 )
 from causaleffects.errors import _label_map
-from causaleffects.estimate import COND_LIMIT, _fit_stack, _solve_spd
+from causaleffects.estimate import COND_LIMIT, _accepted, _adjustment_from_cov, _fit_stack
 
 from . import oracles
 from .conftest import exact_cov_data, random_mpdag
@@ -639,6 +639,35 @@ def test_variance_forms_check_which_model_they_get(three_bucket_graph):
     assert efficiency_bound(plan, cov, np.ones(1)) > 0
 
 
+def test_no_valid_adjustment_set_beats_the_efficiency_bound(record_criterion):
+    """The paper's efficiency claim against every valid adjustment set: at a
+    generic population covariance of the graph, the OLS-adjustment avar of
+    each valid set (by the brute-force oracle) is at least the efficiency
+    bound, for every identified single-treatment query."""
+    rng = rng_from_seed(2508)
+    queries = sets = equal = violations = 0
+    for i in range(150):
+        g, dag = random_mpdag(rng, int(rng.integers(4, 8)), orient_frac=0.4 * (i % 2))
+        sigma = oracles.generic_covariance(g.vertices, dag.directed_edges, rng)
+        cov = SampleCovariance(sigma, g.vertices)
+        for a in g.vertices:
+            for y in g.vertices:
+                if a == y or not is_identified(g, (a,), y):
+                    continue
+                queries += 1
+                bound = efficiency_bound(build_plan(g, (a,), y), cov, [1.0])
+                for z in oracles.valid_adjustment_sets(g, (a,), y, sigma):
+                    avar = _adjustment_from_cov(cov, (a,), y, z).acov[0, 0]
+                    sets += 1
+                    violations += avar < bound * (1.0 - 1e-10)
+                    equal += avar <= bound * (1.0 + 1e-10)
+    record_criterion("adjustment avar >= efficiency bound over every valid set",
+                     violations == 0, f"{queries} queries, {sets} valid sets, "
+                     f"{violations} violations, {equal} equalities")
+    assert violations == 0
+    assert queries and sets
+
+
 def test_population_g_regression_never_beaten_by_adjustment(rng):
     """At the population the g-regression avar is no larger than the
     parent-adjustment avar for single treatments (efficiency)."""
@@ -841,6 +870,48 @@ def test_adjustment_refuses_malformed_sets(confounder_sem, monkeypatch, treatmen
     assert calls == []  # refused before any moment is formed
 
 
+# tau and acov of the covariate-adjustment baseline, by repr of their Python
+# floats: rows 1-6 of a random SEM on 2 -> 1, 2 -> 4, 2 -> 5, 1 -> 3, 1 -> 4,
+# 5 -> 3, 3 -> 4, 3 -> 6, 4 -> 6, 5 -> 6, then its population covariance
+_PINNED_ADJUSTMENTS = {
+    (("1",), "6", (), False):
+        "([-1.4290006451892718], [[18.043176815326568]])",
+    (("1",), "6", ("2",), True):
+        "([-1.0570627367643615], [[17.88197434825991]])",
+    (("1", "5"), "6", ("2",), False):
+        "([-1.0691169336520931, -0.10167785037509512], [[18.581800700251478, "
+        "4.832509612416998], [4.832509612416994, 32.671453204374934]])",
+    (("3", "4"), "6", (), True):
+        "([0.8455992719847034, 1.300194287424943], [[3.909917216497802, "
+        "-0.6016145868191326], [-0.6016145868191326, 0.6588046119846611]])",
+}
+_PINNED_POPULATION_ADJUSTMENT = "([4.0668245574062505], [[7.30702974400938]])"
+
+
+def test_adjustment_is_pinned_bit_for_bit():
+    dag = random_dag(6, 2.5, rng_from_seed(25))
+    sem = random_sem(dag, rng_from_seed(26))
+    data = sample(sem, 200, rng_from_seed(27))
+    for (treatment, outcome, adjust, center), pinned in _PINNED_ADJUSTMENTS.items():
+        est = adjustment_estimate(data, dag.vertices, treatment, outcome, adjust, center=center)
+        assert repr((est.tau.tolist(), est.acov.tolist())) == pinned, (treatment, adjust)
+    pop = SampleCovariance(sem.implied_covariance(), dag.vertices)
+    est = _adjustment_from_cov(pop, ("3",), "6", ("1", "5"))
+    assert repr((est.tau.tolist(), est.acov.tolist())) == _PINNED_POPULATION_ADJUSTMENT
+
+
+def test_adjustment_refuses_an_ill_conditioned_set_by_the_fit():
+    """The adjustment regression is the fit's one-bucket case: a singular
+    design is refused in the fit's words, naming the outcome's bucket."""
+    sigma = np.eye(4)
+    sigma[1, 2] = sigma[2, 1] = 1.0 - 1e-12
+    cov = SampleCovariance(sigma, ("a", "z1", "z2", "y"))
+    with pytest.raises(IllConditionedError,
+                       match=re.escape("regression of bucket ('y',) on ('a', 'z1', 'z2'): "
+                                       "condition number")):
+        _adjustment_from_cov(cov, ("a",), "y", ("z1", "z2"))
+
+
 def test_regressions_refuse_a_model_or_covariance_that_does_not_fit(three_bucket_graph):
     g = three_bucket_graph
     plan = build_plan(g, ("1",), "5")
@@ -938,7 +1009,7 @@ def test_plan_model_holds_exactly_the_plan_blocks(rng):
 )
 def test_solve_refuses_non_positive_definite(a):
     with pytest.raises(IllConditionedError, match="not positive definite") as exc:
-        _solve_spd(a, np.ones(2), "test system")
+        _accepted(a[None], "test system")
     assert exc.value.cond == float("inf")
 
 

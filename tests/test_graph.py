@@ -769,6 +769,16 @@ def test_load_graph_ignores_a_byte_order_mark(three_bucket_graph, tmp_path):
     assert load_graph(path, strict=True) == three_bucket_graph
 
 
+def test_load_graph_refuses_a_repeated_field(tmp_path):
+    """A second ``directed`` would otherwise replace the first: a -> b -> c
+    would load with no edges."""
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": ["a", "b", "c"], "directed": [["a", "b"], ["b", "c"]], '
+                    '"undirected": [], "directed": []}')
+    with pytest.raises(GraphValidationError, match="repeats the 'directed' field"):
+        load_graph(path)
+
+
 def test_graph_from_dict_rejects_bad_schema():
     ok = graph_to_dict(Pdag(("a", "b"), undirected=(("a", "b"),)))
     for bad in (

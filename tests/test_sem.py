@@ -409,6 +409,22 @@ def test_load_sem_ignores_a_byte_order_mark(tmp_path, rng):
     assert np.array_equal(back.gamma, sem.gamma)
 
 
+@pytest.mark.parametrize("text, field", [
+    # a second coefficients array would load the SEM with gamma = 0
+    ('{"graph": {"vertices": ["a", "b"], "directed": [["a", "b"]], "undirected": []}, '
+     '"coefficients": [["a", "b", 0.5]], "errors": [{"family": "gaussian", "param": 1.0}, '
+     '{"family": "gaussian", "param": 1.0}], "coefficients": []}', "coefficients"),
+    ('{"graph": {"vertices": ["a", "b"], "directed": [["a", "b"]], "undirected": []}, '
+     '"coefficients": [["a", "b", 0.5]], "errors": [{"family": "gaussian", "param": 1.0}, '
+     '{"family": "gaussian", "param": 1.0, "param": 2.0}]}', "param"),
+], ids=["top level", "error object"])
+def test_load_sem_refuses_a_repeated_field(tmp_path, text, field):
+    path = tmp_path / "sem.json"
+    path.write_text(text)
+    with pytest.raises(GraphValidationError, match=f"repeats the '{field}' field"):
+        load_sem(path)
+
+
 def _sem_dict():
     return sem_to_dict(LinearSem(
         Pdag(("a", "b"), (("a", "b"),)), np.array([[0.0, 0.5], [0.0, 0.0]]),

@@ -269,6 +269,27 @@ def test_cli_graph_missing_and_malformed(capsys, tmp_path):
     assert code == 2 and "undirected" in err
 
 
+def test_cli_id_refuses_a_repeated_graph_field(capsys, tmp_path):
+    """Were the last ``directed`` kept, a -> b -> c would read as three
+    unconnected vertices and the effect as identified."""
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": ["a", "b", "c"], "directed": [["a", "b"], ["b", "c"]], '
+                    '"undirected": [], "directed": []}')
+    code, out, err = _run(capsys, "id", "--graph", str(path), "--treat", "a", "--outcome", "c")
+    assert code == 2 and out == ""
+    assert err == "invalid graph: JSON object repeats the 'directed' field\n"
+
+
+def test_cli_out_of_memory_is_an_input_error(capsys, chain_graph_file, chain_data_file):
+    """10**15 replicates need an array larger than any address space: numpy
+    refuses it at once, and the CLI exits 3, not 1 (not identified)."""
+    data_path, _ = chain_data_file
+    code, out, err = _run(capsys, "estimate", "--graph", chain_graph_file, "--data", data_path,
+                          "--treat", "a", "--outcome", "y", "--bootstrap", str(10**15))
+    assert code == 3 and out == ""
+    assert err.startswith("input error: out of memory: ")
+
+
 def test_cli_usage_error(capsys):
     code, _, err = _run(capsys, "frobnicate")
     assert code == 3 and "input error" in err

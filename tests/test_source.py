@@ -247,6 +247,41 @@ def _sandwich(grads, omegas, plan, cov, size):
         (5, "_vouched"), (6, "_vouched"), (8, "_vouched")]
 
 
+def _gates(path: Path) -> list[tuple[int, str]]:
+    """Where the module at ``path`` calls ``_accepted``, the conditioning
+    gate of a regression, apart from ``estimate._tested``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return _calls_outside(tree, {"_accepted"}, "_tested" if path.name == "estimate.py" else None)
+
+
+def test_only_the_fit_gates_a_regression():
+    """Every estimator's regressions are gated in ``_tested`` and solved in
+    ``_fit_stack``: an estimator that tests a design itself would keep a
+    least-squares routine of its own beside the fit."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found += [f"{path.name}:{line}" for line, _ in _gates(path)]
+    assert not found, f"regressions gated outside estimate._tested: {found}"
+
+
+def test_gate_check_sees_each_kind_of_copy(tmp_path):
+    source = """
+def _tested(stack, buckets, fitted, local, strict):
+    ok &= _accepted(stack[:, pi[:, None], pi], what)
+def _adjustment_from_cov(cov, treatment, outcome, adjust):
+    _accepted(sxx[None], "adjustment regression")
+    ok = estimate._accepted(sxx[None])
+    def _tested_again(x):
+        return _accepted(x)
+"""
+    for name, found in (("estimate.py", [(5, "_accepted"), (6, "_accepted"), (8, "_accepted")]),
+                        ("simulate.py", [(3, "_accepted"), (5, "_accepted"), (6, "_accepted"),
+                                         (8, "_accepted")])):
+        path = tmp_path / name
+        path.write_text(source, encoding="utf-8")
+        assert _gates(path) == found, name
+
+
 def _model_constructions(path: Path) -> list[tuple[int, str]]:
     """Where the module at ``path`` builds a ``BlockRecursiveModel``, apart
     from ``estimate._block_regression``: a model holds ``None`` for the
