@@ -11,8 +11,11 @@ import argparse
 import csv
 import functools
 import json
+import os
 import re
+import stat
 import sys
+import urllib.parse
 import warnings
 
 import numpy as np
@@ -117,23 +120,33 @@ def _check_header(header: list[str], vertices: tuple[str, ...]) -> None:
         raise _CliInputError("duplicate data columns")
 
 
+# the options of numpy's C reader, on the open handle and on the path alike
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float)
+# trees of files made as they are read: opening one again may give other rows
+_PSEUDO_FILE_ROOTS = ("/dev/", "/proc/", "/sys/")
+# suffixes that numpy's path reader decompresses (numpy.lib._datasource)
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_data_csv(path: str, vertices: tuple[str, ...]):
     """CSV with a header whose columns match the graph's vertex labels
     exactly (any order); finite decimal values.  Blank lines are skipped,
     and a leading byte-order mark is ignored.
 
-    The header is read by :mod:`csv` and the body once, by numpy's C
-    reader.  A file that reader refuses is read again row by row, only to
-    name its fault (:func:`_refuse_data_csv`)."""
+    The header is read by :mod:`csv` from the open file and the body once,
+    by numpy's C reader: from the path, in chunks, for a regular file, and
+    from the open file, a line at a time, for a pipe or a device
+    (:func:`_read_body`).  A file that reader refuses is read again row by
+    row, only to name its fault (:func:`_refuse_data_csv`)."""
     fault = None
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header = next(filter(None, csv.reader(fh)), None)  # skips blank lines
+            reader = csv.reader(fh)
+            header = next(filter(None, reader), None)  # skips blank lines
             try:
                 with warnings.catch_warnings():  # a header-only file is refused below
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    x = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                   ndmin=2, dtype=float)
+                    x = _read_body(fh, path, reader.line_num)
             except ValueError as e:  # decoding errors included
                 x, fault = None, e
     except (OSError, UnicodeDecodeError, csv.Error) as e:
@@ -150,6 +163,43 @@ def _read_data_csv(path: str, vertices: tuple[str, ...]):
                 return x
             return x.take([header.index(v) for v in vertices], axis=1)
     _refuse_data_csv(path, vertices, fault)
+
+
+def _read_body(fh, path: str, skip: int) -> np.ndarray:
+    """The rows after the header, of which :mod:`csv` has taken the first
+    ``skip`` lines from the open file ``fh``.
+
+    numpy reads a regular file from its path in chunks, skipping those
+    lines (it counts physical lines as ``csv`` does, quoted newlines
+    included); from the handle it would take one line at a time from
+    Python, about a tenth slower on the same parse.  Any other file keeps
+    the handle: a pipe, or a file under ``/dev``, ``/proc`` or ``/sys``,
+    may give other rows when opened again, and numpy's path reader fetches
+    a URL and decompresses a ``.gz`` file.  So that header and body come
+    from one file, a path that no longer names the handle's file after the
+    read is refused."""
+    ident = os.fstat(fh.fileno())
+    if not (stat.S_ISREG(ident.st_mode) and _reopenable(path)):
+        return np.loadtxt(fh, **_LOADTXT)
+    try:
+        return np.loadtxt(path, skiprows=skip, encoding="utf-8-sig", **_LOADTXT)
+    finally:
+        try:
+            same = os.path.samestat(os.stat(path), ident)
+        except OSError:
+            same = False
+        if not same:
+            raise _CliInputError(f"cannot read data: {path} was replaced while it was read")
+
+
+def _reopenable(path: str) -> bool:
+    """Whether numpy's path reader opens ``path`` as the plain file that
+    :func:`open` does, outside the trees of files made as they are read."""
+    url = urllib.parse.urlsplit(path)
+    if (url.scheme and url.netloc) or path.lower().endswith(_COMPRESSED_SUFFIXES):
+        return False
+    return not any(p.startswith(_PSEUDO_FILE_ROOTS)
+                   for p in (os.path.abspath(path), os.path.realpath(path)))
 
 
 def _refuse_data_csv(path: str, vertices: tuple[str, ...], fault: ValueError | None):

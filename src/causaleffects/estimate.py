@@ -179,18 +179,19 @@ def _condition(a: np.ndarray) -> np.ndarray:
     return np.where(pd, w[:, -1] / np.where(pd, w[:, 0], 1.0), np.inf)
 
 
-def _accepted(a: np.ndarray, what: str | None = None) -> np.ndarray:
+def _accepted(a: np.ndarray, what: str | None = None, *args) -> np.ndarray:
     """Whether ``eigvalsh`` finds each symmetric matrix of the stack ``a``
     (B, p, p), p >= 1, positive definite with condition number at most
     :data:`COND_LIMIT`.  Given ``what``, a refused matrix raises
-    :class:`IllConditionedError` naming it instead."""
+    :class:`IllConditionedError` naming it instead, as
+    ``what.format(*args)``: the name is formatted only for a refusal."""
     cond = _condition(a)
     ok = cond <= COND_LIMIT
     if what is not None and not ok.all():
         bad = float(cond[~ok][0])
         reason = ("matrix is not positive definite" if bad == float("inf") else
                   f"condition number {bad:.3e} exceeds {COND_LIMIT:.0e}")
-        raise IllConditionedError(f"{what}: {reason}", cond=bad)
+        raise IllConditionedError(f"{what.format(*args)}: {reason}", cond=bad)
     return ok
 
 
@@ -238,20 +239,21 @@ def _tested(stack: np.ndarray, buckets: BucketDecomposition, fitted, local: dict
             strict: bool) -> np.ndarray:
     """Which second-moment matrices of ``stack`` (B, c, c) every fitted
     bucket's parent covariance accepts; ``local`` maps a label to its
-    column.  When :func:`_vouched` accepts the union of the fitted parent
-    sets, all are; otherwise each bucket is tested in turn by
-    :func:`_accepted`.  ``strict`` raises :class:`IllConditionedError` for
-    the first bucket refusing any matrix.  Nothing is solved."""
+    column.  When two or more fitted buckets have parents and
+    :func:`_vouched` accepts the union of their parent sets, all are;
+    otherwise each is tested in turn by :func:`_accepted` (a lone parent
+    set at once: its union test would only repeat it).  ``strict`` raises
+    :class:`IllConditionedError` for the first bucket refusing any matrix.
+    Nothing is solved."""
     parents, members = buckets.external_parents, buckets.buckets
+    tested = [k for k in fitted if parents[k]]
     ok = np.ones(len(stack), dtype=bool)
-    if _vouched(stack, [parents[k] for k in fitted], local):
+    if len(tested) > 1 and _vouched(stack, [parents[k] for k in tested], local):
         return ok
-    for k in fitted:
-        pa = parents[k]
-        if pa:
-            pi = np.array([local[v] for v in pa], dtype=int)
-            what = f"regression of bucket {members[k]} on {pa}" if strict else None
-            ok &= _accepted(stack[:, pi[:, None], pi], what)
+    what = "regression of bucket {} on {}" if strict else None
+    for k in tested:
+        pi = np.array([local[v] for v in parents[k]], dtype=int)
+        ok &= _accepted(stack[:, pi[:, None], pi], what, members[k], parents[k])
     return ok
 
 
@@ -621,11 +623,12 @@ def _adjustment_from_cov(
     lambdas, omegas, _ = _fit_stack(cov.matrix[None], spec, (0,), cov._index, strict=True)
     sxx_inv = np.linalg.solve(cov.matrix[np.ix_(xi, xi)], np.eye(len(xs)))  # the fit accepted it
     n_a = len(treatment)
+    acov = float(omegas[0][0, 0, 0]) * sxx_inv[:n_a, :n_a]
     return EffectEstimate(
         treatment=treatment,
         outcome=outcome,
         tau=lambdas[0][0, :n_a, 0].copy(),
-        acov=float(omegas[0][0, 0, 0]) * sxx_inv[:n_a, :n_a],
+        acov=(acov + acov.T) / 2.0,  # symmetrized, as _sandwich's
         method="adjustment",
         n=cov.n,
     )

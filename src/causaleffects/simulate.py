@@ -15,7 +15,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from statistics import median
 
 import numpy as np
 
@@ -92,6 +91,15 @@ def _geometric_mean(values: list[float]) -> float:
             "geometric mean needs strictly positive relative errors"
         )
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def _median(values: list[float]) -> float:
+    """``statistics.median``'s arithmetic, without importing that module
+    (it imports ``fractions`` and ``decimal``): the middle item of the
+    sorted values, or the mean of the two middle ones."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _draw_query(dag, cpdag, treat_size, rng):
@@ -245,7 +253,7 @@ def run_simulation(
         else {
             "n_reps": len(rel_adj),
             "geometric_mean_rel_sq_err": _geometric_mean(rel_adj),
-            "median_rel_sq_err": float(median(rel_adj)),
+            "median_rel_sq_err": float(_median(rel_adj)),
         },
     }
     return report

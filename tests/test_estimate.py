@@ -872,7 +872,8 @@ def test_adjustment_refuses_malformed_sets(confounder_sem, monkeypatch, treatmen
 
 # tau and acov of the covariate-adjustment baseline, by repr of their Python
 # floats: rows 1-6 of a random SEM on 2 -> 1, 2 -> 4, 2 -> 5, 1 -> 3, 1 -> 4,
-# 5 -> 3, 3 -> 4, 3 -> 6, 4 -> 6, 5 -> 6, then its population covariance
+# 5 -> 3, 3 -> 4, 3 -> 6, 4 -> 6, 5 -> 6, then its population covariance.
+# The acov is symmetrized as (a + a') / 2, which keeps every diagonal entry
 _PINNED_ADJUSTMENTS = {
     (("1",), "6", (), False):
         "([-1.4290006451892718], [[18.043176815326568]])",
@@ -880,7 +881,7 @@ _PINNED_ADJUSTMENTS = {
         "([-1.0570627367643615], [[17.88197434825991]])",
     (("1", "5"), "6", ("2",), False):
         "([-1.0691169336520931, -0.10167785037509512], [[18.581800700251478, "
-        "4.832509612416998], [4.832509612416994, 32.671453204374934]])",
+        "4.832509612416996], [4.832509612416996, 32.671453204374934]])",
     (("3", "4"), "6", (), True):
         "([0.8455992719847034, 1.300194287424943], [[3.909917216497802, "
         "-0.6016145868191326], [-0.6016145868191326, 0.6588046119846611]])",
@@ -895,6 +896,7 @@ def test_adjustment_is_pinned_bit_for_bit():
     for (treatment, outcome, adjust, center), pinned in _PINNED_ADJUSTMENTS.items():
         est = adjustment_estimate(data, dag.vertices, treatment, outcome, adjust, center=center)
         assert repr((est.tau.tolist(), est.acov.tolist())) == pinned, (treatment, adjust)
+        assert np.array_equal(est.acov, est.acov.T)
     pop = SampleCovariance(sem.implied_covariance(), dag.vertices)
     est = _adjustment_from_cov(pop, ("3",), "6", ("1", "5"))
     assert repr((est.tau.tolist(), est.acov.tolist())) == _PINNED_POPULATION_ADJUSTMENT
@@ -910,6 +912,22 @@ def test_adjustment_refuses_an_ill_conditioned_set_by_the_fit():
                        match=re.escape("regression of bucket ('y',) on ('a', 'z1', 'z2'): "
                                        "condition number")):
         _adjustment_from_cov(cov, ("a",), "y", ("z1", "z2"))
+
+
+@pytest.mark.parametrize("cond", [10.0, 0.75 * COND_LIMIT, 10 * COND_LIMIT],
+                         ids=["well_conditioned", "near_the_limit", "refused"])
+def test_a_one_bucket_fit_tests_its_parents_once(monkeypatch, cond):
+    """A fit with one bucket that has parents, as the adjustment regression
+    is, tests that parent set once, directly: a union test over a single
+    set would only repeat it, and above COND_LIMIT / 2 be repeated."""
+    r = (cond - 1.0) / (cond + 1.0)  # the 2 x 2 correlation matrix of this condition number
+    sigma = np.eye(3)
+    sigma[0, 1] = sigma[1, 0] = r
+    cov = SampleCovariance(sigma, ("a", "z", "y"))
+    calls = _counting(monkeypatch, "_condition")
+    with pytest.raises(IllConditionedError) if cond > COND_LIMIT else nullcontext():
+        _adjustment_from_cov(cov, ("a",), "y", ("z",))
+    assert len(calls) == 1
 
 
 def test_regressions_refuse_a_model_or_covariance_that_does_not_fit(three_bucket_graph):

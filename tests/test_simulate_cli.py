@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from causaleffects import (
 )
 from causaleffects import cli
 from causaleffects.cli import _read_data_csv, main
-from causaleffects.simulate import CSV_COLUMNS, REPORT_HEADER, run_simulation
+from causaleffects.simulate import CSV_COLUMNS, REPORT_HEADER, _median, run_simulation
 
 from .conftest import exact_cov_data
 
@@ -188,6 +189,31 @@ def test_simulation_summary_reads_back_with_numpy_counts():
     assert summary["params"]["n_vertices"] == 6 and summary["params"]["seed"] == 3
     assert rep.records == run_simulation(n_vertices=6, treat_size=1, n=100, reps=2,
                                          seed=3).records
+
+
+def test_summary_median_is_the_statistics_median():
+    """The summary's private median gives statistics.median's float bit for
+    bit, on odd and even lengths, ties and a single value included."""
+    import statistics
+
+    rng = np.random.default_rng(19)
+    for size in [1, 2, 3, 4, *rng.integers(5, 200, size=60)]:
+        values = (rng.lognormal(size=size) * rng.choice([1e-6, 1.0, 1e6])).tolist()
+        if size > 3:
+            values[1] = values[0]
+        got, want = _median(values), statistics.median(values)
+        assert repr(got) == repr(want), (size, got, want)
+
+
+def test_importing_the_package_skips_the_statistics_module():
+    """statistics pulls in fractions and decimal, a cost paid at every start
+    of the command line; the package imports none of them."""
+    script = "import sys, causaleffects.cli; print(sorted({'statistics', 'fractions', " \
+             "'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(causaleffects.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_simulation_csv_layout(tmp_path):
@@ -716,6 +742,216 @@ def test_cli_estimate_refuses_a_value_only_python_float_reads(capsys, tmp_path, 
     path.write_text(_BASE + "\n1,2\n", encoding="utf-8")  # the same row, ragged
     assert _run(capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
                 "--treat", "a", "--outcome", "y")[2].startswith("input error: data row 3 has")
+
+
+def _loadtxt_after_the_header(path):
+    """What numpy's C reader gives on the open file once csv has read the
+    header: the array the data reader must return."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        next(filter(None, csv.reader(fh)))
+        return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float)
+
+
+def _loadtxt_spy(monkeypatch, before=None):
+    """The list of the first arguments that later ``np.loadtxt`` calls get;
+    ``before(arg)`` runs ahead of each call."""
+    seen, real = [], np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        seen.append(fname)
+        if before is not None:
+            before(fname)
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return seen
+
+
+# layouts applied to the header line alone, ahead of a plain body
+_HEADER_LAYOUTS = {
+    "bom_cr_blank_lines": lambda header: "\ufeff\r\r" + header + "\n",
+    "bom_crlf_blank_lines": lambda header: "\ufeff\r\n\r\n" + header + "\r\n",
+    "quoted_newline_header": lambda header: ",".join(f'"{h}\n"' for h in header.split(",")) + "\n",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_ACCEPTED_LAYOUTS) + sorted(_HEADER_LAYOUTS))
+def test_reader_hands_numpy_the_path_of_a_regular_file(monkeypatch, tmp_path, chain_data_file,
+                                                       layout):
+    """numpy reads a regular file's body from its path, in chunks, and
+    returns the very array it gives on the open file after the header."""
+    data_path, _ = chain_data_file
+    with open(data_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if layout in _HEADER_LAYOUTS:
+        text = _HEADER_LAYOUTS[layout](",".join(rows[0])) + _csv_text(rows[1:])
+    else:
+        text = _ACCEPTED_LAYOUTS[layout](rows)
+    path = tmp_path / "layout.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _loadtxt_after_the_header(path)
+    seen = _loadtxt_spy(monkeypatch)
+    got = _read_data_csv(str(path), ("a", "m", "y"))
+    assert seen == [str(path)]
+    assert got.shape == want.shape == (len(rows) - 1, 3) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["data.csv.gz", "data.csv.BZ2", "data.csv.xz",
+                                  "http://localhost/data.csv"])
+def test_reader_keeps_the_handle_where_numpy_would_not_open_the_path_as_a_file(
+        monkeypatch, tmp_path, chain_data_file, name):
+    """numpy's path reader decompresses a .gz, .bz2, .xz or .lzma file and
+    fetches a URL: such a name is read through the open file, as plain text."""
+    data_path, _ = chain_data_file
+    monkeypatch.chdir(tmp_path)
+    path = Path(name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(Path(data_path).read_bytes())
+
+    def refuse_a_path(fname):
+        assert not isinstance(fname, str), fname  # before numpy opens anything
+
+    seen = _loadtxt_spy(monkeypatch, before=refuse_a_path)
+    got = _read_data_csv(name, ("a", "m", "y"))
+    assert len(seen) == 1
+    assert got.tobytes() == _loadtxt_after_the_header(path).tobytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_files_made_as_they_are_read_are_not_opened_again(tmp_path):
+    """A file under /dev, /proc or /sys, or a link to one, may give other
+    rows when opened again; a plain file, or a link to one, may not."""
+    (tmp_path / "data.csv").write_text("a\n1\n")
+    (tmp_path / "status").symlink_to("/proc/self/status")
+    (tmp_path / "plain").symlink_to(tmp_path / "data.csv")
+    for path in ["/proc/self/status", "/dev/stdin", "/sys/kernel/x", str(tmp_path / "status")]:
+        assert not cli._reopenable(path), path
+    for path in [str(tmp_path / "data.csv"), str(tmp_path / "plain"), "data.csv"]:
+        assert cli._reopenable(path), path
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+def test_reader_reads_every_row_of_a_named_pipe(tmp_path):
+    """A pipe cannot be opened again for its body: the reader keeps the
+    handle, and every row a writer sends arrives."""
+    x = np.random.default_rng(5).standard_normal((3000, 3))
+    text = "a,m,y\n" + _csv_text(x.tolist(), cell="{!r}")
+    fifo = tmp_path / "data.pipe"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def write():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if not done.wait(10):  # a reader that opened the pipe again waits for a writer
+            open(fifo, "w").close()
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = _read_data_csv(str(fifo), ("a", "m", "y"))
+    finally:
+        done.set()
+    writer.join(20)
+    assert not writer.is_alive()
+    assert got.shape == x.shape and got.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("change", ["replaced", "removed"])
+def test_cli_estimate_refuses_a_file_replaced_while_it_is_read(capsys, monkeypatch, tmp_path,
+                                                               chain_graph_file, chain_data_file,
+                                                               change):
+    """Header and body come from one file: a path that no longer names the
+    opened file once the body is read exits 3, naming the fault."""
+    data_path, _ = chain_data_file
+    path = tmp_path / "data.csv"
+    path.write_bytes(Path(data_path).read_bytes())
+    other = tmp_path / "other.csv"
+    other.write_text("a,m,y\n" + "1,2,3\n4,5,7\n" * 50)
+
+    def swap(fname):
+        if change == "replaced":
+            os.replace(other, path)
+        else:
+            path.unlink()
+
+    _loadtxt_spy(monkeypatch, before=swap)
+    code, out, err = _run(capsys, "estimate", "--graph", chain_graph_file, "--data", str(path),
+                          "--treat", "a", "--outcome", "y")
+    assert (code, out) == (3, "")
+    assert err == f"input error: cannot read data: {path} was replaced while it was read\n"
+
+
+def _fuzz_field(rng) -> str:
+    """A decimal, with any sign, point and exponent, sometimes padded or quoted."""
+    digits = "".join(rng.choice(list("0123456789"), size=rng.integers(1, 6)))
+    value = str(rng.choice(["", "-", "+"])) + digits
+    if rng.random() < 0.5:
+        cut = 1 + rng.integers(len(value))
+        value = value[:cut] + "." + value[cut:]
+    if rng.random() < 0.3:
+        value += str(rng.choice(["e", "E"])) + str(rng.choice(["", "-", "+"])) + str(rng.integers(310))
+    if rng.random() < 0.2:
+        value = str(rng.choice([" ", "\t", "  "])) + value + str(rng.choice(["", " ", "\t"]))
+    if rng.random() < 0.15:
+        value = '"' + value + str(rng.choice(["", "\n", "\r\n", "\r"])) + '"'
+    return value
+
+
+_NON_DECIMALS = ["x", "nan", "-inf", "1e999", "", "0x1f", "1_0", "1d3", "1e", ".", "--1",
+                 "\u0661", "1 2", "#3", '"1""2"', '"1,5"']
+
+
+def _fuzz_file(rng) -> bytes:
+    """A random data file for the graph a -> m -> y: most read, the rest
+    have a non-decimal value, a ragged row, a foreign column or no rows."""
+    header = [str(h) for h in rng.permutation(["a", "m", "y"])]
+    if rng.random() < 0.05:
+        header[rng.integers(3)] = "q"
+    body = [[_fuzz_field(rng) for _ in range(3)] for _ in range(rng.integers(0, 7))]
+    if body and rng.random() < 0.3:
+        body[rng.integers(len(body))][rng.integers(3)] = str(rng.choice(_NON_DECIMALS))
+    if body and rng.random() < 0.1:
+        row = body[rng.integers(len(body))]
+        row.append("1") if rng.random() < 0.5 else row.pop()
+    lines = []
+    for row in [header] + body:
+        lines += [""] * int(rng.choice([0, 0, 0, 1, 2]))  # blank lines
+        lines.append(",".join(row))
+    ends = [str(rng.choice(["\n", "\r\n", "\r"])) for _ in lines]
+    if rng.random() < 0.5:  # one line end throughout
+        ends = [ends[0]] * len(lines)
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    return (b"\xef\xbb\xbf" if rng.random() < 0.2 else b"") + text.encode()
+
+
+def _read_or_refusal(path):
+    try:
+        x = _read_data_csv(str(path), ("a", "m", "y"))
+    except cli._CliInputError as e:
+        return "input error: " + str(e)
+    return x.shape, x.tobytes()
+
+
+def test_reader_reads_random_files_as_it_does_through_the_handle(monkeypatch, tmp_path):
+    """About 200 random files of decimals, signs, exponents, quotes, padding,
+    CR/LF/CRLF line ends, blank lines, byte-order marks, ragged rows and
+    non-decimals: the path read gives the handle read's array bit for bit,
+    and a refusal its message."""
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for k in range(200):
+        path = tmp_path / f"fuzz{k}.csv"
+        path.write_bytes(_fuzz_file(rng))
+        got = _read_or_refusal(path)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_reopenable", lambda path: False)
+            want = _read_or_refusal(path)
+        assert got == want, path.read_bytes()
+        outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}  # the files hold both kinds
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
