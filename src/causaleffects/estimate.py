@@ -266,13 +266,22 @@ def _fit_stack(
     ``buckets`` need not partition the columns.
 
     :func:`_tested` decides which matrices every fitted bucket accepts
-    (``strict`` as there), and each bucket's solve then runs once on the
-    accepted part of the stack.  Returns ``(lambdas, omegas, ok)``: the
-    blocks, with the stack axis, keyed by fitted bucket index, and ``ok``
-    from :func:`_tested`; the coefficient blocks of a refused matrix are
-    zero.
+    (``strict`` as there), and :func:`_solved` then solves each bucket once
+    on the accepted part of the stack.  Returns ``(lambdas, omegas, ok)``:
+    the blocks, with the stack axis, keyed by fitted bucket index, and
+    ``ok`` from :func:`_tested`; the coefficient blocks of a refused matrix
+    are zero.
     """
     ok = _tested(stack, buckets, fitted, local, strict)
+    return (*_solved(stack, buckets, fitted, local, ok), ok)
+
+
+def _solved(stack: np.ndarray, buckets: BucketDecomposition, fitted, local: dict,
+            ok: np.ndarray):
+    """The solves of :func:`_fit_stack` for the buckets ``fitted``, on the
+    matrices of ``stack`` that ``ok`` marks as tested and accepted for them:
+    ``(lambdas, omegas)`` keyed by bucket index.  Each bucket's blocks are
+    its own solve's, whichever other buckets are solved."""
     parents, members = buckets.external_parents, buckets.buckets
     lambdas, omegas = {}, {}
     for k in fitted:
@@ -294,7 +303,7 @@ def _fit_stack(
             lam[ok] = np.linalg.solve(spp[ok], spb[ok])
         omega = omega - spb.transpose(0, 2, 1) @ lam
         lambdas[k], omegas[k] = lam, (omega + omega.transpose(0, 2, 1)) / 2.0
-    return lambdas, omegas, ok
+    return lambdas, omegas
 
 
 def _block_regression(
@@ -456,19 +465,25 @@ def _gradients(plan: IdentificationPlan, lam_ad: np.ndarray, m: np.ndarray) -> d
             for k, c, mb in zip(plan.bucket_order, cs, mbs)}
 
 
+def _read(grads: dict, plan: IdentificationPlan) -> list[int]:
+    """The buckets whose term :func:`_sandwich` adds, in the order of
+    ``grads``: those with parents in the graph and a gradient block that is
+    not all zero.  Only their residual blocks are read."""
+    parents = plan.buckets.external_parents
+    return [k for k, h in grads.items() if parents[k] and h.any()]
+
+
 def _sandwich(grads: dict, omegas, plan: IdentificationPlan, cov: SampleCovariance,
              size: int) -> np.ndarray:
     """The Kronecker quadratic form of :func:`delta_method_acov`, symmetrized,
     for gradient blocks ``grads[k]`` of shape (size, |Pa(B_k)|, |B_k|) and
-    residual blocks ``omegas[k]``.  The caller has tested the plan's parent
-    covariances in this ``cov`` (:func:`_tested`, by a fit or alone), so
-    they are solved untested."""
+    residual blocks ``omegas[k]``, over the buckets of :func:`_read`.  The
+    caller has tested the plan's parent covariances in this ``cov``
+    (:func:`_tested`, by a fit or alone), so they are solved untested."""
     parents = plan.buckets.external_parents
     out = np.zeros((size, size))
-    for k, h in grads.items():
-        pa = parents[k]
-        if not pa or not h.any():
-            continue
+    for k in _read(grads, plan):
+        h, pa = grads[k], parents[k]
         pi = cov.positions(pa)
         flat = h.transpose(1, 0, 2).reshape(len(pa), -1)
         sol = np.linalg.solve(cov.matrix[np.ix_(pi, pi)], flat)
@@ -513,7 +528,12 @@ def efficiency_bound(plan: IdentificationPlan, cov: SampleCovariance, w: np.ndar
     ``w' delta_method_acov(...) w``, which is how the bound is attained.
 
     ``w`` must hold one finite number per treatment vertex, else
-    :class:`GraphValidationError` before any fit.
+    :class:`GraphValidationError` before any fit.  ``cov`` is tested as
+    :func:`g_regression` and then :func:`gbar_regression` test it for
+    ``plan``, every plan bucket included, so a refusal names the bucket
+    those fits name.  Of the saturated blocks only the Omega_k the sum
+    reads are solved: those of buckets with parents in the graph and a
+    weighted gradient that is not all zero.
     """
     n_a = len(plan.treatment)
     try:
@@ -523,10 +543,13 @@ def efficiency_bound(plan: IdentificationPlan, cov: SampleCovariance, w: np.ndar
     if len(weights) != n_a:
         raise GraphValidationError(f"w must hold one weight per treatment vertex ({n_a}), got {w!r}")
     w = np.array(weights)
-    model_g, model_gbar = g_regression(cov, plan), gbar_regression(cov, plan)
+    model_g = g_regression(cov, plan)
+    stack, saturated = cov.matrix[None], plan.buckets._saturated()
+    ok = _tested(stack, saturated, plan.bucket_order, cov._index, strict=True)
     grads = {k: np.einsum("t,tib->ib", w, h)[None]
              for k, h in effect_gradients(model_g, plan).items()}
-    return float(_sandwich(grads, model_gbar.omega_blocks, plan, cov, 1)[0, 0])
+    _, omegas = _solved(stack, saturated, _read(grads, plan), cov._index, ok)
+    return float(_sandwich(grads, {k: o[0] for k, o in omegas.items()}, plan, cov, 1)[0, 0])
 
 
 @dataclass

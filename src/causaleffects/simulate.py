@@ -146,8 +146,10 @@ def run_simulation(
     identification plan on the CPDAG (while drawing the query) and uses it
     for the g-regression estimate and for the population variance ratio of
     parent adjustment over the efficiency bound; every regression fits the
-    plan's buckets only.  One sample covariance per replication serves both
-    the g-regression estimate and the adjustment baseline.  Before any
+    plan's buckets only, and the bound solves only the saturated blocks its
+    sum reads (it tests those of every plan bucket).  One sample covariance
+    per replication serves both the g-regression estimate and the
+    adjustment baseline.  Before any
     draw, :class:`GraphValidationError` refuses a seed that is not an
     integer in [0, 2**64), a count among ``n_vertices``, ``treat_size``,
     ``n`` and ``reps`` that is not an integer, fewer than two vertices, a

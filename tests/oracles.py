@@ -394,6 +394,22 @@ def valid_adjustment_sets(g, treatment, outcome, sigma, tol=1e-9):
     return valid
 
 
+def efficiency_bound_every_gbar(plan, cov, w):
+    """``efficiency_bound(plan, cov, w)`` from whole models: the package's
+    variance sandwich over the w-weighted gradients of the g model, with
+    Omega_k from ``gbar_regression(cov, plan)``, which solves the saturated
+    block of every plan bucket whether the sum reads it or not.  The same
+    floating-point steps, so the bound must equal it bit for bit."""
+    from causaleffects import effect_gradients, g_regression, gbar_regression
+    from causaleffects.estimate import _sandwich
+
+    w = np.array([float(v) for v in w])
+    grads = {k: np.einsum("t,tib->ib", w, h)[None]
+             for k, h in effect_gradients(g_regression(cov, plan), plan).items()}
+    omegas = gbar_regression(cov, plan).omega_blocks
+    return float(_sandwich(grads, omegas, plan, cov, 1)[0, 0])
+
+
 def _replicate_effect(xb, pos, plan, center, cond_limit):
     """tau of one resample by the plan's bucket regressions, or None when the
     replicate is rejected: its second-moment matrix is not positive definite

@@ -639,6 +639,111 @@ def test_variance_forms_check_which_model_they_get(three_bucket_graph):
     assert efficiency_bound(plan, cov, np.ones(1)) > 0
 
 
+def test_efficiency_bound_equals_the_sandwich_of_every_gbar_block():
+    """The bound, which solves only the saturated blocks its sum reads,
+    equals the sum over the gbar model of every plan bucket bit for bit:
+    random identified queries at p 4-14 with |A| 1-3, with and without
+    knowledge, at population and n = 3p sample covariances, some with a
+    zero weight."""
+    rng = rng_from_seed(2008)
+    kinds = {"knowledge": 0, "population": 0, "zero weight": 0}
+    sizes, checked = set(), 0
+    while checked < 520:
+        p = int(rng.integers(4, 15))
+        knowledge = checked % 2 == 1
+        g, dag = random_mpdag(rng, p, orient_frac=0.4 if knowledge else 0.0)
+        labels = list(g.vertices)
+        y = labels[int(rng.integers(p))]
+        rest = [v for v in labels if v != y]
+        a = sorted(rng.choice(rest, size=int(rng.integers(1, 4)), replace=False),
+                   key=labels.index)
+        if not is_identified(g, a, y):
+            continue
+        sem = random_sem(dag, rng)
+        population = rng.random() < 0.5
+        if population:
+            cov = SampleCovariance(sem.implied_covariance(), dag.vertices)
+        else:
+            cov = sample_covariance(sample(sem, 3 * p, rng), dag.vertices)
+        w = rng.normal(size=len(a))
+        zero = rng.random() < 0.2
+        if zero:
+            w[int(rng.integers(len(a)))] = 0.0
+        plan = build_plan(g, a, y)
+        assert efficiency_bound(plan, cov, w) == oracles.efficiency_bound_every_gbar(plan, cov, w)
+        checked += 1
+        kinds["knowledge"] += knowledge
+        kinds["population"] += population
+        kinds["zero weight"] += zero
+        sizes.add((len(a), p))
+    assert min(kinds.values()) >= 50, kinds
+    assert {t for t, _ in sizes} == {1, 2, 3} and {q for _, q in sizes} == set(range(4, 15))
+
+
+# z1, z2, c, a, b, m, y, one bucket each and in this order: for treatments
+# (a, b) with w = (1, 0) bucket c has no parents and bucket m's weighted
+# gradient is zero, so the bound reads the saturated block of y alone
+_UNREAD = Mpdag(
+    vertices=("z1", "z2", "c", "a", "b", "m", "y"),
+    directed=(("c", "y"), ("a", "y"), ("b", "m"), ("m", "y")),
+)
+
+
+def _unread_cov(z2_noise=1.0, b_noise=1.0, m_noise=1.0):
+    """The covariance of z2 = z1 + e, b = a + e, m = b + e, y = c + a + m + e
+    with unit errors except the three named: a small one makes the saturated
+    prefix of c, m or y, in turn, ill conditioned."""
+    load = np.eye(7)
+    load[:, 1] += load[:, 0]
+    load[:, 4] += load[:, 3]
+    load[:, 5] += load[:, 4]
+    load[:, 6] += load[:, 2] + load[:, 3] + load[:, 5]
+    scale = np.array([1.0, z2_noise, 1.0, 1.0, b_noise, m_noise, 1.0])
+    sigma = load.T @ np.diag(scale**2) @ load
+    return SampleCovariance((sigma + sigma.T) / 2.0, _UNREAD.vertices)
+
+
+@pytest.mark.parametrize("noise, w, bucket, prefix", [
+    ({"z2_noise": 1e-7}, [1.0, 0.0], "c", 2),  # no parents
+    ({"b_noise": 1e-7}, [1.0, 0.0], "m", 5),  # zero weighted gradient
+    ({"m_noise": 1e-7}, [0.0, 0.0], "y", 6),  # the only refused prefix
+], ids=["parentless", "zero_gradient", "all_weights_zero"])
+def test_the_bound_refuses_a_saturated_block_it_does_not_solve(noise, w, bucket, prefix):
+    """The bound tests the saturated prefix of every plan bucket, as
+    gbar_regression does, before it solves the ones it reads: an ill
+    conditioned prefix of a bucket the sum skips is refused, naming the
+    first such bucket, and the g fit passes."""
+    cov = _unread_cov(**noise)
+    plan = build_plan(_UNREAD, ("a", "b"), "y")
+    g_regression(cov, plan)
+    message = re.escape(f"regression of bucket {(bucket,)} on {_UNREAD.vertices[:prefix]}: ")
+    with pytest.raises(IllConditionedError, match=message):
+        oracles.efficiency_bound_every_gbar(plan, cov, w)
+    with pytest.raises(IllConditionedError, match=message):
+        efficiency_bound(plan, cov, w)
+
+
+def test_the_bound_solves_only_the_saturated_blocks_it_reads(monkeypatch):
+    """On the effect of (a, b) on y with w = (1, 0) the bound solves the g
+    fit's blocks of m and y, the saturated block of y alone (not those of c
+    and m), the effect's (I - Lambda_DD) and the sandwich term of y."""
+    cov = _unread_cov()
+    plan = build_plan(_UNREAD, ("a", "b"), "y")
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append((a.shape, b.shape)) or solve(a, b))
+    bound = efficiency_bound(plan, cov, [1.0, 0.0])
+    assert calls == [
+        ((1, 1, 1), (1, 1, 1)), ((1, 3, 3), (1, 3, 1)),  # g: m on (b), y on (c, a, m)
+        ((3, 3), (3, 3)),  # the effect's solve over D = (c, m, y)
+        ((1, 6, 6), (1, 6, 1)),  # gbar: y on its prefix of six
+        ((3, 3), (3, 1)),  # the sandwich term of y
+    ]
+    monkeypatch.undo()
+    assert bound == oracles.efficiency_bound_every_gbar(plan, cov, [1.0, 0.0]) > 0
+
+
 def test_no_valid_adjustment_set_beats_the_efficiency_bound(record_criterion):
     """The paper's efficiency claim against every valid adjustment set: at a
     generic population covariance of the graph, the OLS-adjustment avar of
