@@ -100,7 +100,8 @@ def _load_graph(path: str, strict: bool):
         return load_graph(path, strict=strict)
     except GraphValidationError as e:
         raise _InvalidGraph(str(e)) from None
-    except (OSError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
+    # JSON and UTF-8 decoding errors are ValueErrors; too deep a nesting is a RecursionError
+    except (OSError, ValueError, RecursionError) as e:
         raise _CliInputError(f"cannot read graph: {e}") from None
 
 

@@ -52,6 +52,10 @@ __all__ = [
 # Solves are refused, not regularized, beyond this condition number.
 COND_LIMIT = 1e10
 
+# Bootstrap replicates fitted per stack, so a bootstrap's memory does not grow
+# with its number of replicates.
+_BATCH = 256
+
 
 def _check_cover(index: dict, vertices: Sequence[str], what: str) -> None:
     """Refuse with :class:`GraphValidationError` unless the labels of
@@ -103,15 +107,24 @@ class SampleCovariance:
             raise DegenerateSampleError("covariance contains non-finite values")
         if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise DegenerateSampleError("covariance matrix is not symmetric")
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise DegenerateSampleError(
-                "covariance matrix is not positive definite"
-            ) from None
+        if not _positive_definite(m):
+            raise DegenerateSampleError("covariance matrix is not positive definite")
 
     def positions(self, labels: Sequence[str]) -> np.ndarray:
         return np.array(_positions(self._index, _sequence(labels, "labels")), dtype=int)
+
+
+def _positive_definite(m: np.ndarray) -> bool:
+    """Whether the symmetric matrix ``m`` is finite and has a Cholesky
+    factor: the one acceptance rule of a :class:`SampleCovariance` and of a
+    bootstrap replicate's covariance."""
+    if not np.all(np.isfinite(m)):
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _data_matrix(data: np.ndarray, vertex_order: Sequence[str]) -> np.ndarray:
@@ -201,11 +214,8 @@ def _vouched(stack: np.ndarray, parent_sets, local: dict) -> bool:
     ``COND_LIMIT / 2``; ``local`` maps a label to its column.  By Cauchy
     interlacing a principal submatrix is no worse conditioned than the
     whole matrix, so each parent set would then pass its own test: the
-    margin lies far above the rounding of ``eigvalsh``.  An empty union
-    has nothing to solve and is vouched for untested."""
+    margin lies far above the rounding of ``eigvalsh``."""
     union = sorted({local[v] for pa in parent_sets for v in pa})
-    if not union:
-        return True
     ui = np.array(union)
     return bool(np.all(_condition(stack[:, ui[:, None], ui]) <= COND_LIMIT / 2))
 
@@ -702,10 +712,12 @@ def bootstrap_ci(
     from the next streams; more than 10% rejections raises
     :class:`IllConditionedError`.
 
-    The replicates are fitted together: each one's covariance over the
-    plan's columns goes into a stack, and every plan bucket's test and
-    solve runs once per stack (:func:`_fit_stack`, as in the one-matrix
-    fit).  Results equal those of fitting one replicate at a time.
+    The replicates are fitted in batches of at most 256: each accepted
+    one's covariance over the plan's columns goes into one stack of that
+    size, and every plan bucket's test and solve runs once per batch
+    (:func:`_fit_stack`, as in the one-matrix fit), so memory does not
+    grow with ``n_boot``.  Results equal those of fitting one replicate at
+    a time.
 
     Returns ``(lower, upper, boot_acov, n_rejected)`` where ``boot_acov``
     is n times the covariance of the replicate estimates (the bootstrap
@@ -737,6 +749,8 @@ def _resample(x, cov, plan, n_boot: int, level: float, seed: int, center: bool):
     grid = np.ix_(sub, sub)
     local = _label_map(labels)
     taus = np.empty((n_boot, len(plan.treatment)))
+    # the one stack: each batch's accepted covariances fill its front
+    stack = np.empty((min(n_boot, _BATCH), len(sub), len(sub)))
     got = 0
     rejected = 0
     stream = 0
@@ -747,34 +761,27 @@ def _resample(x, cov, plan, n_boot: int, level: float, seed: int, center: bool):
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     while got < n_boot and rejected <= cap:
-        # the streams still needed: a resample whose full covariance is not
-        # positive definite is rejected here, the others enter the stack
-        need = n_boot - got
-        stack = np.empty((need, len(sub), len(sub)))
-        kept = np.zeros(need, dtype=bool)
-        for r in range(need):
-            state["state"]["counter"][2] = stream + r
+        # the next streams still needed, at most a batch.  The rows are
+        # checked data and s is symmetric by construction, so a resample is
+        # rejected here exactly where SampleCovariance would refuse it
+        draws = min(n_boot - got, _BATCH)
+        kept = 0
+        for r in range(stream, stream + draws):
+            state["state"]["counter"][2] = r
             bitgen.state = state
             idx = rng.integers(0, cov.n, size=cov.n)
-            # the rows are checked data and s is symmetric by construction;
-            # reject where SampleCovariance would
             s = _second_moment(x[idx], center)
-            if not np.all(np.isfinite(s)):
-                continue
-            try:
-                np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                continue
-            stack[r] = s[grid]
-            kept[r] = True
-        stream += need
-        lambdas, _, ok = _fit_stack(stack[kept], plan.buckets, plan.bucket_order, local, False)
+            if _positive_definite(s):
+                stack[kept] = s[grid]
+                kept += 1
+        stream += draws
+        lambdas, _, ok = _fit_stack(stack[:kept], plan.buckets, plan.bucket_order, local, False)
         boot = _effect(plan, [lambdas[k][ok] for k in plan.bucket_order])[0]
         taus[got:got + len(boot)] = boot
         got += len(boot)
         # a batch with a rejection leaves replicates to draw, so only the
         # count matters; one replicate at a time stops drawing at cap + 1
-        rejected = min(rejected + need - len(boot), cap + 1)
+        rejected = min(rejected + draws - len(boot), cap + 1)
     if rejected > 0.10 * (n_boot + rejected):
         raise IllConditionedError(
             f"bootstrap rejected {rejected} of {n_boot + rejected} replicates "

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from causaleffects import (
     BucketDecomposition,
     DegenerateSampleError,
+    ErrorSpec,
     GraphValidationError,
     IdentificationPlan,
     IllConditionedError,
@@ -43,7 +45,8 @@ from causaleffects import (
     true_effect_pathsum,
 )
 from causaleffects.errors import _label_map
-from causaleffects.estimate import COND_LIMIT, _accepted, _adjustment_from_cov, _fit_stack
+from causaleffects.estimate import (_BATCH, COND_LIMIT, _accepted, _adjustment_from_cov,
+                                    _fit_stack)
 
 from . import oracles
 from .conftest import exact_cov_data, random_mpdag
@@ -1219,21 +1222,23 @@ def test_bootstrap_acov_tracks_delta_method(chain_sem):
 def test_bootstrap_refuses_fragile_samples():
     """Tiny n with duplicated resample rows degenerates often enough that
     the rejection guard trips, with the count of the one-replicate-at-a-time
-    loop in its message."""
+    loop in its message, also when the replicates span several batches."""
     g = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
     plan = build_plan(g, ("z1",), "b")
     rng = rng_from_seed(5)
     distinct = dict(zip("rst", rng.normal(size=(3, 3))))
-    # rrrrrrst: over half of the resamples miss s or t, and drawing stops
-    # at the cap.  rrrst: fewer rejections, but still more than 10%.  Both
-    # have a positive definite X'X/n, so bootstrap_ci starts drawing.
-    for rows, n_boot in (("rrrrrrst", 50), ("rrrst", 20)):
+    # About half of the resamples miss s or t: more than 10% are rejected
+    # in each case, and in those marked capped drawing stops at the cap.
+    # Both row sets have a positive definite X'X/n, so bootstrap_ci starts
+    # drawing.
+    for rows, n_boot, capped in (("rrrrrrst", 50, True), ("rrrst", 20, False),
+                                 ("rrrrrrst", 300, False), ("rrrst", 600, True)):
         data = np.array([distinct[c] for c in rows])
         sample_covariance(data, g.vertices)
         lower, _, _, rejected = oracles.bootstrap_loop_oracle(
             data, g.vertices, plan, n_boot=n_boot, level=0.95, seed=2
         )
-        assert lower is None and (rejected > max(10, n_boot)) == (rows == "rrrrrrst")
+        assert lower is None and (rejected > max(10, n_boot)) == capped
         with pytest.raises(IllConditionedError, match="bootstrap") as exc:
             bootstrap_ci(data, g.vertices, plan, n_boot=n_boot, seed=2)
         assert str(exc.value) == (
@@ -1300,9 +1305,11 @@ def _bootstrap_against_loop(data, columns, plan, **kw):
 def test_bootstrap_matches_per_replicate_loop(chain_sem, center):
     data = sample(chain_sem, 300, rng_from_seed(3))
     plan = build_plan(chain_sem.graph, ("a",), "y")
-    for seed in (5, 2**64 - 1):  # the largest seed keys Philox with every bit set
+    # the largest seed keys Philox with every bit set; _BATCH + 1 replicates
+    # take two batches
+    for n_boot, seed in ((60, 5), (60, 2**64 - 1), (_BATCH + 1, 7)):
         _bootstrap_against_loop(data, chain_sem.graph.vertices, plan,
-                                n_boot=60, level=0.9, seed=seed, center=center)
+                                n_boot=n_boot, level=0.9, seed=seed, center=center)
     rng = rng_from_seed(41)
     done = 0
     while done < 20:
@@ -1468,7 +1475,8 @@ def test_centred_results_do_not_depend_on_the_data_layout(chain_sem):
 @pytest.mark.parametrize("n_boot", [2, 25, 500])
 def test_bootstrap_makes_one_generator_per_call(chain_sem, monkeypatch, n_boot):
     """Replicates reset the counter of one Philox generator; none constructs
-    its own.  On the rrrst rows of test_bootstrap_refuses_fragile_samples,
+    its own.  Without a rejection the replicates take ceil(n_boot / _BATCH)
+    batches; on the rrrst rows of test_bootstrap_refuses_fragile_samples,
     rejections send n_boot 25 and 500 back for further batches of streams."""
     chain = sample(chain_sem, 200, rng_from_seed(3))  # rng_from_seed makes a Philox too
     g = Pdag(("z1", "z2", "b"), directed=(("z1", "b"), ("z2", "b")))
@@ -1478,12 +1486,35 @@ def test_bootstrap_makes_one_generator_per_call(chain_sem, monkeypatch, n_boot):
     batches = _counting(monkeypatch, "_fit_stack")
     bootstrap_ci(chain, chain_sem.graph.vertices, build_plan(chain_sem.graph, ("a",), "y"),
                  n_boot=n_boot, seed=9)
-    assert len(made) == 1 and len(batches) == 1
+    full = -(-n_boot // _BATCH)
+    assert len(made) == 1 and len(batches) == full
     try:
         bootstrap_ci(fragile, g.vertices, build_plan(g, ("z1",), "b"), n_boot=n_boot, seed=2)
     except IllConditionedError:  # n_boot 25 and 500: too many rejections
         pass
-    assert len(made) == 2 and (len(batches) > 2) == (n_boot > 2)
+    assert len(made) == 2 and (len(batches) > 2 * full) == (n_boot > 2)
+
+
+def test_bootstrap_memory_does_not_grow_with_n_boot():
+    """numpy reports its buffers to tracemalloc: on an 8-vertex chain (8
+    plan columns, n = 60) the peak at 10,000 replicates stays within 1.5
+    times the peak at 1,000, as the replicates are fitted in batches."""
+    v = tuple(f"v{i}" for i in range(8))
+    g = Mpdag(vertices=v, directed=tuple(zip(v, v[1:])), undirected=())
+    gamma = np.diag(np.full(7, 0.8), k=1)
+    sem = LinearSem(graph=g, gamma=gamma, errors=tuple(ErrorSpec("gaussian", 1.0) for _ in v))
+    data = sample(sem, 60, rng_from_seed(4))
+    plan = build_plan(g, ("v0",), "v7")
+    bootstrap_ci(data, v, plan, n_boot=2, seed=1)  # first-call allocations out of the way
+    peaks = []
+    for n_boot in (1000, 10000):
+        tracemalloc.start()
+        try:
+            assert bootstrap_ci(data, v, plan, n_boot=n_boot, seed=1)[3] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 _SOLVE = np.linalg.solve

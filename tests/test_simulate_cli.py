@@ -1150,6 +1150,9 @@ def contract_files(tmp_path, three_bucket_graph, side_collider, chain_sem):
     )
     paths["nulls"] = str(tmp_path / "nulls.json")
     Path(paths["nulls"]).write_text('{"vertices": ["a"], "directed": null, "undirected": []}')
+    for name, depth in (("deep", 2_000), ("deeper", 200_000)):  # too deep for json.load
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text("[" * depth + "]" * depth)
 
     def write_csv(name, columns, x):
         paths[name] = str(tmp_path / f"{name}.csv")
@@ -1183,6 +1186,8 @@ _CONTRACT = {
         (["graph", "validate", "--graph", "latin1"], 3, "input error: cannot read graph: "),
         (["graph", "frobnicate", "--graph", "tb"], 3, "input error: "),
         (["graph", "buckets", "--graph", "tb", "--out", "unwritable"], 3, "input error: "),
+        (["graph", "validate", "--graph", "deep"], 3, "input error: cannot read graph: "),
+        (["graph", "validate", "--graph", "deeper"], 3, "input error: cannot read graph: "),
     ],
     "id": [
         (["id", "--graph", "open", "--treat", "a", "--outcome", "c"], 2, "invalid graph: "),
@@ -1193,6 +1198,10 @@ _CONTRACT = {
         (["id", "--graph", "chain", "--treat", "q", "--outcome", "y"], 3, "bad input: "),
         (["id", "--graph", "chain", "--treat", "a", "--outcome", "y", "--out", "unwritable"], 3,
          "input error: "),
+        (["id", "--graph", "deep", "--treat", "a", "--outcome", "y"], 3,
+         "input error: cannot read graph: "),
+        (["id", "--graph", "deeper", "--treat", "a", "--outcome", "y"], 3,
+         "input error: cannot read graph: "),
     ],
     "estimate": [
         (_estimate("und"), 1, "total effect of ['a'] on 'y' is not identified"),
@@ -1210,6 +1219,8 @@ _CONTRACT = {
         (_estimate("chain", "extra_data"), 3,
          "input error: data columns do not match the graph: columns ['z'] are not graph"),
         (_estimate("chain", "dup_data"), 3, "input error: duplicate data columns"),
+        (_estimate("deep"), 3, "input error: cannot read graph: "),
+        (_estimate("deeper"), 3, "input error: cannot read graph: "),
     ],
     "simulate": [
         (["simulate", "--nodes", "1"], 3, "bad input: "),

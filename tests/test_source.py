@@ -247,6 +247,31 @@ def _sandwich(grads, omegas, plan, cov, size):
         (5, "_vouched"), (6, "_vouched"), (8, "_vouched")]
 
 
+def test_one_rule_accepts_a_covariance():
+    """In ``estimate.py`` a Cholesky factorization is the acceptance test
+    of ``_positive_definite`` alone, which a ``SampleCovariance`` and every
+    bootstrap replicate's covariance pass: a replicate is rejected exactly
+    where the covariance of its rows would be refused."""
+    path = PACKAGE_DIR / "estimate.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _calls_outside(tree, {"cholesky"}, "_positive_definite")
+    assert not found, f"Cholesky tests outside estimate._positive_definite: {found}"
+
+
+def test_acceptance_rule_check_sees_each_kind_of_copy():
+    source = """
+def _positive_definite(m):
+    np.linalg.cholesky(m)
+def _resample(x, cov, plan):
+    np.linalg.cholesky(s)
+    cholesky(s)
+    def _positive_definite_again(s):
+        return scipy.linalg.cholesky(s)
+"""
+    assert _calls_outside(ast.parse(source), {"cholesky"}, "_positive_definite") == [
+        (5, "cholesky"), (6, "cholesky"), (8, "cholesky")]
+
+
 def _gates(path: Path) -> list[tuple[int, str]]:
     """Where the module at ``path`` calls ``_accepted``, the conditioning
     gate of a regression, apart from ``estimate._tested``."""
