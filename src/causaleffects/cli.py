@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import re
 import stat
@@ -27,6 +26,8 @@ from .errors import (
     IllConditionedError,
     NotIdentifiedError,
     _check_seed,
+    _json_text,
+    _write_json,
 )
 from .estimate import estimate_total_effect
 from .graph import (
@@ -87,12 +88,10 @@ def _labels(text: str) -> list[str]:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_json(payload, out)
     else:
-        print(text)
+        print(_json_text(payload))
 
 
 def _load_graph(path: str, strict: bool):
@@ -134,36 +133,36 @@ def _read_data_csv(path: str, vertices: tuple[str, ...]):
     exactly (any order); finite decimal values.  Blank lines are skipped,
     and a leading byte-order mark is ignored.
 
-    The header is read by :mod:`csv` from the open file and the body once,
-    by numpy's C reader: from the path, in chunks, for a regular file, and
-    from the open file, a line at a time, for a pipe or a device
-    (:func:`_read_body`).  A file that reader refuses is read again row by
-    row, only to name its fault (:func:`_refuse_data_csv`)."""
-    fault = None
+    This is the one place that opens a data file.  The header is read by
+    :mod:`csv` from the open file and the body once, by numpy's C reader:
+    from the path, in chunks, for a regular file, and from the open file, a
+    line at a time, for a pipe or a device (:func:`_read_body`).  A file
+    that reader refuses is refused on the same handle, only to name its
+    fault (:func:`_refuse_data_csv`)."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(filter(None, reader), None)  # skips blank lines
+            # the first non-blank row, its fields stripped; None when there is none
+            header = [h.strip() for h in next(filter(None, reader), [])] or None
             try:
                 with warnings.catch_warnings():  # a header-only file is refused below
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    x = _read_body(fh, path, reader.line_num)
+                    x, fault = _read_body(fh, path, reader.line_num), None
             except ValueError as e:  # decoding errors included
                 x, fault = None, e
+            if x is not None and header is not None:
+                _check_header(header, vertices)
+                if x.size and x.shape[1] == len(header) and np.all(np.isfinite(x)):
+                    # a header in vertex order needs no copy.  Otherwise take makes a
+                    # row-major copy, as the reader's array is: numpy's column means
+                    # add in an order set by the layout, so the layout must not
+                    # depend on the header's order
+                    if tuple(header) == vertices:
+                        return x
+                    return x.take([header.index(v) for v in vertices], axis=1)
+            _refuse_data_csv(fh, header, x, vertices, fault)
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise _CliInputError(f"cannot read data: {e}") from None
-    if x is not None and header is not None:
-        header = [h.strip() for h in header]
-        _check_header(header, vertices)
-        if x.size and x.shape[1] == len(header) and np.all(np.isfinite(x)):
-            # a header in vertex order needs no copy.  Otherwise take makes a
-            # row-major copy, as the reader's array is: numpy's column means
-            # add in an order set by the layout, so the layout must not
-            # depend on the header's order
-            if tuple(header) == vertices:
-                return x
-            return x.take([header.index(v) for v in vertices], axis=1)
-    _refuse_data_csv(path, vertices, fault)
 
 
 def _read_body(fh, path: str, skip: int) -> np.ndarray:
@@ -203,26 +202,39 @@ def _reopenable(path: str) -> bool:
                    for p in (os.path.abspath(path), os.path.realpath(path)))
 
 
-def _refuse_data_csv(path: str, vertices: tuple[str, ...], fault: ValueError | None):
-    """Raise the fault of a data file that :func:`_read_data_csv` refuses,
-    found row by row, in this order: reading, an empty file, the header,
-    a ragged row, a non-decimal value, a non-finite value.  ``fault`` is
-    the C reader's error, if it raised one; it is the message for a value
-    that Python's ``float`` reads and the C reader does not (``1_000``,
-    non-ASCII digits), with its row numbered as the ragged-row message
-    numbers rows."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]  # drops blank lines
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise _CliInputError(f"cannot read data: {e}") from None
-    if not rows:
+def _refuse_data_csv(fh, header, x, vertices: tuple[str, ...], fault: ValueError | None):
+    """Raise the fault of the data file open as ``fh`` that
+    :func:`_read_data_csv` refuses, in this order: reading, an empty file,
+    the header, a ragged row, a non-decimal value, a non-finite value.
+    ``header`` is the stripped header of the first read (None for none).
+
+    A regular file's rows are scanned again from its start, on the same
+    handle.  A pipe or a device is not read twice (opening a named pipe
+    again waits for a writer), so its rows are judged by what the C reader
+    saw: its error ``fault`` or the width and finiteness of its array
+    ``x``; of a ragged row and a non-decimal value, the first it met is
+    named.  ``fault`` is the message for a value that the C reader does not
+    read, with its row numbered as the ragged-row message numbers rows; in
+    a regular file that is a value Python's ``float`` reads (``1_000``,
+    non-ASCII digits)."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.seek(0)
+        rows = [row for row in csv.reader(fh) if row][1:]  # drops blank lines and the header
+        widths = [len(row) for row in rows]
+    elif isinstance(fault, UnicodeDecodeError):
+        raise fault
+    elif changed := re.match(r"the number of columns changed from (\d+) to (\d+) at row (\d+);",
+                             str(fault)):
+        # numpy's rows before the numbered one (from 1) have the first row's width
+        rows, widths = [], [int(changed[1])] * (int(changed[3]) - 1) + [int(changed[2])]
+    else:
+        rows, widths = [], [] if x is None else [x.shape[1]] * len(x)
+    if header is None:
         raise _CliInputError("data file is empty")
-    header, rows = [h.strip() for h in rows[0]], rows[1:]
     _check_header(header, vertices)
-    for k, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise _CliInputError(f"data row {k} has {len(row)} fields, the header has {len(header)}")
+    for k, n in enumerate(widths, 1):
+        if n != len(header):
+            raise _CliInputError(f"data row {k} has {n} fields, the header has {len(header)}")
     try:
         np.array(rows, dtype=float)
     except ValueError as e:
@@ -316,11 +328,11 @@ def _cmd_simulate(args) -> int:
         rescale=args.rescale,
         family=args.family,
     )
+    summary = {"params": report.params, "summary": report.summary}
     if args.out:
         report.write_csv(args.out)
-        with open(args.out + ".summary.json", "w", encoding="utf-8") as fh:
-            fh.write(report.summary_json() + "\n")
-    print(report.summary_json())
+        _emit(summary, args.out + ".summary.json")
+    _emit(summary, None)
     return _OK
 
 

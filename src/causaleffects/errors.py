@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the one rule for what a
 count, a finite number, a flag, a float array, a JSON object, a sequence and
-a map from vertex labels to positions are."""
+a map from vertex labels to positions are; also the package's one JSON file
+format (:func:`_read_json`, :func:`_json_text`, :func:`_write_json`)."""
 
+import json
 import math
 
 import numpy as np
@@ -115,6 +117,27 @@ def _unique_fields(pairs) -> dict:
             raise GraphValidationError(f"JSON object repeats the {key!r} field")
         d[key] = value
     return d
+
+
+def _read_json(path):
+    """The JSON value in the file at ``path``: UTF-8, a leading byte-order
+    mark ignored, and an object that repeats a field refused
+    (:func:`_unique_fields`)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return json.load(fh, object_pairs_hook=_unique_fields)
+
+
+def _json_text(obj) -> str:
+    """The package's one JSON text form, of its files and printed results
+    alike: two-space indent, sorted keys, non-ASCII characters escaped."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _write_json(obj, path) -> None:
+    """Write ``obj`` to the file at ``path`` as :func:`_json_text` and a
+    trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(obj) + "\n")
 
 
 def _check_seed(seed) -> int:

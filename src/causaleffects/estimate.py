@@ -702,14 +702,14 @@ def bootstrap_ci(
     (``plan.bucket_order``) on resampled rows; the plan depends only on the
     graph and is not rebuilt.  Replicate r draws its indices from a
     counter-derived stream of the master seed (the Philox generator keyed
-    by the seed, with r in its counter's third word), so results are
-    reproducible for any worker count.  A replicate is rejected when its
-    full resampled covariance is not finite and positive definite (the test
-    :class:`SampleCovariance` makes), or when a plan bucket's parent covariance
-    is not positive definite or has a condition number above
-    :data:`COND_LIMIT`; buckets outside the plan are not fitted and reject
-    nothing.  Rejected replicates are redrawn
-    from the next streams; more than 10% rejections raises
+    by the seed, with r in its counter's third word), so results do not
+    depend on how many replicates are fitted at once.  A replicate is
+    rejected when its full resampled covariance is not finite and positive
+    definite (the test :class:`SampleCovariance` makes), or when a plan
+    bucket's parent covariance is not positive definite or has a condition
+    number above :data:`COND_LIMIT`; buckets outside the plan are not
+    fitted and reject nothing.  Rejected replicates are redrawn from the
+    next streams; more than 10% rejections raises
     :class:`IllConditionedError`.
 
     The replicates are fitted in batches of at most 256: each accepted

@@ -13,14 +13,14 @@ dense integer indices are an internal detail.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (GraphValidationError, InconsistentKnowledgeError, _check_fields,
-                     _flag, _label_map, _sequence, _unique_fields, _unknown_label)
+                     _flag, _label_map, _read_json, _sequence, _unknown_label,
+                     _write_json)
 
 __all__ = [
     "Pdag",
@@ -800,11 +800,8 @@ def graph_from_dict(d: dict, strict: bool = False) -> Pdag:
 def load_graph(path, strict: bool = False) -> Pdag:
     """:func:`graph_from_dict` of a JSON file; a byte-order mark is ignored,
     and an object that repeats a field is refused (:func:`_unique_fields`)."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return graph_from_dict(json.load(fh, object_pairs_hook=_unique_fields), strict=strict)
+    return graph_from_dict(_read_json(path), strict=strict)
 
 
 def save_graph(g: Pdag, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(graph_to_dict(g), path)

@@ -10,14 +10,13 @@ scaled t, scale for logistic, half-width for uniform).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (GraphValidationError, _check_fields, _check_seed, _finite, _flag,
-                     _float_array, _integer, _sequence, _unique_fields)
+                     _float_array, _integer, _read_json, _sequence, _write_json)
 from .graph import Pdag, _check_query, graph_from_dict, graph_to_dict
 from .identify import build_plan
 from .estimate import _effect
@@ -383,13 +382,10 @@ def _error_spec(e: dict) -> ErrorSpec:
 
 
 def save_sem(sem: LinearSem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sem_to_dict(sem), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(sem_to_dict(sem), path)
 
 
 def load_sem(path) -> LinearSem:
     """:func:`sem_from_dict` of a JSON file; a byte-order mark is ignored,
     and an object that repeats a field is refused (:func:`_unique_fields`)."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return sem_from_dict(json.load(fh, object_pairs_hook=_unique_fields))
+    return sem_from_dict(_read_json(path))

@@ -12,14 +12,13 @@ estimator, with the reference estimator identically 1.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (CausalEffectsError, GraphValidationError, NotIdentifiedError,
-                     _check_seed, _flag, _integer)
+                     _check_seed, _flag, _integer, _json_text)
 from .estimate import (
     SampleCovariance,
     _adjustment_from_cov,
@@ -78,11 +77,7 @@ class SimReport:
                 writer.writerow({k: rec.get(k, "") for k in CSV_COLUMNS})
 
     def summary_json(self) -> str:
-        return json.dumps(
-            {"params": self.params, "summary": self.summary},
-            indent=2,
-            sort_keys=True,
-        )
+        return _json_text({"params": self.params, "summary": self.summary})
 
 
 def _geometric_mean(values: list[float]) -> float:

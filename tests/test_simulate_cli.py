@@ -17,6 +17,7 @@ import causaleffects
 from causaleffects import (
     ERROR_FAMILIES,
     GraphValidationError,
+    LinearSem,
     Mpdag,
     Pdag,
     bootstrap_ci,
@@ -25,6 +26,7 @@ from causaleffects import (
     rng_from_seed,
     sample,
     save_graph,
+    save_sem,
 )
 from causaleffects import cli
 from causaleffects.cli import _read_data_csv, main
@@ -857,6 +859,91 @@ def test_reader_reads_every_row_of_a_named_pipe(tmp_path):
     assert got.shape == x.shape and got.tobytes() == x.tobytes()
 
 
+_PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(causaleffects.__file__).parents[1])}
+
+# bad data a pipe carries, and the whole stderr of `estimate` on the chain graph
+_BAD_PIPED = {
+    "non_decimal": ("a,m,y\n1,2,3\n\n1,x,3\n", "input error: data values must be decimals: "
+                    "could not convert string 'x' to float64 at data row 2, column 2.\n"),
+    "ragged": ("a,m,y\n1,2,3\n1,2\n", "input error: data row 2 has 2 fields, the header has 3\n"),
+    "first_row_ragged": ("a,m,y\n1,2,3,4\n5,6,7,8\n",
+                         "input error: data row 1 has 4 fields, the header has 3\n"),
+    "nan": ("a,m,y\n1,2,nan\n", _FINITE),
+    "header_only": ("a,m,y\n", _FINITE),
+    "foreign_column": ("a,m,q\n1,2,3\n", "input error: data columns do not match the graph: "
+                       "missing graph vertices ['y']; columns ['q'] are not graph vertices\n"),
+}
+
+
+def _estimate_in_a_subprocess(graph, data, **kwargs):
+    """``causal-effects estimate`` of the chain's a -> y in a fresh process,
+    which a read that waits for a writer keeps from ending in 10 s."""
+    return subprocess.run(
+        [sys.executable, "-m", "causaleffects.cli", "estimate", "--graph", graph,
+         "--data", data, "--treat", "a", "--outcome", "y"],
+        env=_PACKAGE_ENV, capture_output=True, text=True, timeout=10, **kwargs)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PIPED))
+def test_cli_estimate_names_the_fault_of_bad_data_on_stdin(chain_graph_file, case):
+    """A pipe cannot be read twice: its refusal names what the first read
+    found, not an empty file."""
+    text, message = _BAD_PIPED[case]
+    done = _estimate_in_a_subprocess(chain_graph_file, "/dev/stdin", input=text)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", message)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+@pytest.mark.parametrize("case", sorted(_BAD_PIPED))
+def test_cli_estimate_refuses_bad_data_in_a_named_pipe_without_waiting(tmp_path,
+                                                                       chain_graph_file, case):
+    """The writer sends the file once and never opens the pipe again: a
+    refusal that opened it a second time would wait for ever."""
+    text, message = _BAD_PIPED[case]
+    fifo = tmp_path / "data.pipe"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BrokenPipeError:  # the reader went away first
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        done = _estimate_in_a_subprocess(chain_graph_file, str(fifo))
+    finally:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
+        writer.join(10)
+    assert not writer.is_alive()
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", message)
+
+
+def test_reader_opens_a_refused_regular_file_once(tmp_path):
+    """A refused regular file is rescanned on the handle already open: the
+    path is opened by the reader and by numpy's chunked body read alone."""
+    path = tmp_path / "bad.csv"
+    path.write_text("a,m,y\n1,2,3\n1,x,3\n", encoding="utf-8")
+    script = (
+        "import os, sys\n"
+        "from causaleffects import cli\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(args[0]))\n"
+        "try:\n"
+        "    cli._read_data_csv(sys.argv[1], ('a', 'm', 'y'))\n"
+        "except cli._CliInputError as e:\n"
+        "    print(e)\n"
+        "print(sum(isinstance(p, (str, bytes, os.PathLike)) and os.fsdecode(p) == sys.argv[1]\n"
+        "          for p in opened))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=_PACKAGE_ENV,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == [
+        "data values must be decimals: could not convert string to float: 'x'", "2"]
+
+
 @pytest.mark.parametrize("change", ["replaced", "removed"])
 def test_cli_estimate_refuses_a_file_replaced_while_it_is_read(capsys, monkeypatch, tmp_path,
                                                                chain_graph_file, chain_data_file,
@@ -1083,6 +1170,42 @@ def test_cli_simulate_writes_report(capsys, tmp_path):
     assert out_path.read_text().splitlines()[0] == REPORT_HEADER
     side = json.loads((tmp_path / "rep.csv.summary.json").read_text())
     assert side == stdout_summary
+
+
+def test_every_json_text_has_one_form(capsys, tmp_path, chain_sem):
+    """Files and printed results alike are ``json.dumps(obj, indent=2,
+    sort_keys=True)`` and a newline, so a non-ASCII label is escaped."""
+    label = "é"
+    g = Mpdag(("a", "m", label), (("a", "m"), ("m", label)))
+    sem = LinearSem(g, chain_sem.gamma, chain_sem.errors)
+    graph, data = tmp_path / "g.json", tmp_path / "data.csv"
+    save_graph(g, graph)
+    save_sem(sem, tmp_path / "sem.json")
+    data.write_text(f"a,m,{label}\n" + _csv_text(sample(sem, 200, rng_from_seed(3)).tolist()),
+                    encoding="utf-8")
+    texts = {name: (tmp_path / f"{name}.json").read_text(encoding="utf-8")
+             for name in ("g", "sem")}
+    commands = {
+        **{action: ["graph", action, "--graph", str(graph)]
+           for action in ("validate", "buckets", "saturate", "cpdag")},
+        "id": ["id", "--graph", str(graph), "--treat", "a", "--outcome", label],
+        "estimate": ["estimate", "--graph", str(graph), "--data", str(data), "--treat", "a",
+                     "--outcome", label, "--bootstrap", "20"],
+        "simulate": ["simulate", "--nodes", "4", "--reps", "2", "--n", "100"],
+    }
+    for name, argv in commands.items():
+        out_path = tmp_path / f"{name}.out"
+        printed = _run(capsys, *argv)
+        filed = _run(capsys, *argv, "--out", str(out_path))
+        assert printed[0] == filed[0] == 0 and printed[2] == filed[2] == "", name
+        texts[name] = printed[1]
+        if name == "simulate":
+            assert filed[1] == printed[1]
+            out_path = tmp_path / f"{name}.out.summary.json"
+        texts[name + " --out"] = out_path.read_text(encoding="utf-8")
+    assert "\\u00e9" in texts["g"] and "\\u00e9" in texts["estimate"]
+    for name, text in texts.items():
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 def test_cli_simulate_mixed_family(capsys):

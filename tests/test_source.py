@@ -461,3 +461,78 @@ def f(g, h):
         ("_pa", 3), ("_nb", 4), ("_ch", 6), ("_nb", 8), ("_ch", 9), ("_buckets", 10),
         ("_nb", 11), ("_pa", 12), ("_ch", 13)]
     assert {scope for scope, _, _ in got} == {"f"}
+
+
+# the json functions that read or write the package's JSON files and texts
+_JSON_FUNCTIONS = {"load", "loads", "dump", "dumps"}
+
+
+def _json_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, what)`` for every import of :mod:`json` and every call of
+    ``json.load``, ``json.loads``, ``json.dump`` or ``json.dumps``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import json") for alias in node.names
+                      if alias.name == "json"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.append((node.lineno, "from json import"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json" \
+                and node.func.attr in _JSON_FUNCTIONS:
+            found.append((node.lineno, f"json.{node.func.attr}"))
+    return sorted(found)
+
+
+def test_json_is_read_and_written_in_errors_only():
+    """The JSON file format (a byte-order mark allowed, a repeated field
+    refused, two-space indent, sorted keys, a final newline) is written
+    once, in ``errors._read_json``, ``errors._json_text`` and
+    ``errors._write_json``."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {what}" for line, what in _json_uses(tree)]
+    assert not found, f"JSON read or written outside errors.py: {found}"
+
+
+def test_json_check_sees_each_kind_of_copy():
+    source = """
+import json
+from json import dumps
+def save(g, path):
+    with open(path, "w") as fh:
+        json.dump(g, fh, indent=2)
+    return json.load(fh), json.loads(json.dumps(g)), dumps(g), pickle.load(fh)
+"""
+    assert _json_uses(ast.parse(source)) == [
+        (2, "import json"), (3, "from json import"), (6, "json.dump"), (7, "json.dumps"),
+        (7, "json.load"), (7, "json.loads")]
+
+
+def test_cli_opens_the_data_file_in_one_place():
+    """``cli.py`` opens a file in ``_read_data_csv`` alone, so a data file
+    is opened once and a refusal reads the handle it already holds: a pipe
+    opened a second time gives nothing, and a named pipe waits for a writer.
+    Results go out through ``errors._write_json``."""
+    path = PACKAGE_DIR / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _calls_outside(tree, {"open"}, "_read_data_csv")
+    assert not found, f"files opened outside cli._read_data_csv: {found}"
+
+
+def test_data_file_check_sees_each_kind_of_copy():
+    source = """
+def _read_data_csv(path, vertices):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return np.loadtxt(fh)
+def _refuse_data_csv(path, vertices, fault):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        fd = os.open(path, os.O_RDONLY)
+    def _read_data_csv_again():
+        return io.open(path)
+"""
+    assert _calls_outside(ast.parse(source), {"open"}, "_read_data_csv") == [
+        (6, "open"), (7, "open"), (9, "open")]
